@@ -24,22 +24,4 @@ object BruteForce {
     }
     best
   }
-
-  /** Full distance matrix `D(i)(j) = dist(q, d[i:j])` (1-based via offset 0),
-    * `+inf` below the diagonal. `O(mn²)` using one incremental column per
-    * start — the same trick ExactS uses, kept here as an independent copy so
-    * ExactS can be validated against it.
-    */
-  def allDistances[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Array[Array[Double]] = {
-    val n = d.length
-    val D = Array.fill(n, n)(Double.PositiveInfinity)
-    var i = 1
-    while (i <= n) {
-      val dp = PrefixDP(q, fn)
-      var j = i
-      while (j <= n) { D(i - 1)(j - 1) = dp.extend(d(j - 1)); j += 1 }
-      i += 1
-    }
-    D
-  }
 }

@@ -9,19 +9,30 @@ object TopK {
   /** A per-trajectory search hit. */
   final case class Hit(trajId: Long, start: Int, end: Int, dist: Double)
 
+  /** Decides whether a data trajectory is searched, given the current k-th
+    * best distance (`+inf` until k hits are held). Algorithm 3's GBP→KPF
+    * cascade is one (`repro.pruning.Pruner.gate`).
+    */
+  type Gate[T] = (IndexedSeq[T], Double) => Boolean
+
   private implicit val byDistDesc: Ordering[Hit] = Ordering.by[Hit, Double](_.dist)
 
   /** K best hits (ascending distance), one per data trajectory, using
-    * `search` for each trajectory (CMA by default).
+    * `search` for each trajectory that `gate` lets through (all of them by
+    * default). A hit replaces the k-th best only when strictly closer.
     */
   def search[T](q: IndexedSeq[T], data: Iterable[(Long, IndexedSeq[T])], k: Int,
-                search: (IndexedSeq[T], IndexedSeq[T]) => SubtrajResult): Array[Hit] = {
+                search: (IndexedSeq[T], IndexedSeq[T]) => SubtrajResult,
+                gate: Gate[T] = (_: IndexedSeq[T], _: Double) => true): Array[Hit] = {
     require(k >= 1, "k must be >= 1")
     val heap = new scala.collection.mutable.PriorityQueue[Hit]() // max-heap by dist
     for ((id, d) <- data if d.nonEmpty) {
-      val r = search(q, d)
-      if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
-      else if (r.dist < heap.head.dist) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
+      val kth = if (heap.size < k) Double.PositiveInfinity else heap.head.dist
+      if (gate(d, kth)) {
+        val r = search(q, d)
+        if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
+        else if (r.dist < kth) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
+      }
     }
     heap.toArray.sortBy(h => (h.dist, h.trajId))
   }

@@ -5,6 +5,9 @@ import repro.baselines._
 import repro.baselines.rl.RLS
 import repro.core._
 import repro.pruning.Pruner
+import repro.spark.SparkSearch
+
+import scala.collection.immutable.ArraySeq
 
 /** Shared experiment harness for the paper's evaluation tables. Each
   * `tableN` method runs the experiment distributed over trajectories with
@@ -126,11 +129,10 @@ object Harness {
   val OvertimeBudgetSec = 10.0
 
   /** Wall time to answer all queries over the full (pruned) database with
-    * each algorithm — Algorithm 3's GBP+KPF pipeline runs inside each
-    * partition, exactly as in the paper's Table 3 setup.
+    * each algorithm — `SparkSearch.topK` runs Algorithm 3's GBP+KPF cascade
+    * inside each partition, as in the paper's Table 3 setup.
     */
   def table3(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table3Row] = {
-    import spark.implicits._
     specs.flatMap { spec =>
       val fns      = Workloads.distFns(spec)
       val queries  = Workloads.queries(spec)
@@ -140,34 +142,26 @@ object Harness {
       // mu = 0.1: keep a sizable survivor fraction, as in the paper's Table 3
       // where the search phase (not pruning) separates the algorithms.
       val params   = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1)
-      val bcP      = spark.sparkContext.broadcast(policies)
-      val sample   = Workloads.dataLocal(spec).take(2).map(_.points)
+      val q0       = ArraySeq.unsafeWrapArray(queries.head)
+      val sample   = Seq(spec.traj(0), spec.traj(1)).map(t => ArraySeq.unsafeWrapArray(t.points))
 
       val rows = for (fn <- fns; algo <- AllAlgos if applicable(algo, fn)) yield {
-        // Projection guard (drives the paper's "overtime" entries).
+        // Projection guard (drives the paper's "overtime" entries). Best of
+        // the two samples: an algorithm's first call runs cold (class
+        // loading, interpreter), which the distributed run does not repeat.
         val sLocal = searcher(algo, fn, policies)
-        val t0s = System.nanoTime()
-        sample.foreach(d => sLocal(scala.collection.immutable.ArraySeq.unsafeWrapArray(queries.head), scala.collection.immutable.ArraySeq.unsafeWrapArray(d)))
-        val perPair = (System.nanoTime() - t0s) / 1e9 / sample.length
+        val perPair = sample.map { d =>
+          val t0s = System.nanoTime(); sLocal(q0, d); (System.nanoTime() - t0s) / 1e9
+        }.min
         val parallelism = math.min(spark.sparkContext.defaultParallelism, spec.nData)
         val projected = perPair * spec.nData * queries.length / parallelism
         if (projected > OvertimeBudgetSec) {
           Table3Row(spec.name, fn.name, algo, projected, overtime = true, Double.NaN)
         } else {
           val t0 = System.nanoTime()
-          var bestDist = Double.PositiveInfinity
-          for (q <- queries) {
-            val partBest = data.mapPartitions { it =>
-              val s = searcher(algo, fn, bcP.value)
-              val trajs = it.filter(_.length > 0).map(t => (t.id, t.points))
-              Pruner.search(q, trajs.toSeq, fn, params,
-                (a: Array[Point], b: Array[Point]) => s(scala.collection.immutable.ArraySeq.unsafeWrapArray(a), scala.collection.immutable.ArraySeq.unsafeWrapArray(b))).iterator
-            }.collect()
-            if (partBest.nonEmpty) {
-              val d = partBest.map(_.dist).min
-              if (d < bestDist) bestDist = d
-            }
-          }
+          val bestDist = queries.flatMap(q =>
+            SparkSearch.topK(data, q, fn, 1, Some(params), Some(sLocal)).map(_.dist)
+          ).minOption.getOrElse(Double.PositiveInfinity)
           Table3Row(spec.name, fn.name, algo, (System.nanoTime() - t0) / 1e9,
                     overtime = false, bestDist)
         }

@@ -38,8 +38,10 @@ object GBP {
   /** Precomputed cells of the query points (reused across data trajectories). */
   def queryCells(q: Array[Point], eps: Double): Array[Long] = q.map(cell(_, eps))
 
-  /** `close(τq, τd)` — number of query points close to the data trajectory. */
-  def closeCount(qCells: Array[Long], d: Array[Point], eps: Double): Int = {
+  /** `close(τq, τd)` — number of query points close to the data trajectory.
+    * `d` is any indexed sequence, so an array is wrapped without a copy.
+    */
+  def closeCount(qCells: Array[Long], d: collection.IndexedSeq[Point], eps: Double): Int = {
     val dilated = new java.util.HashSet[java.lang.Long]()
     var j = 0
     while (j < d.length) {
@@ -58,6 +60,6 @@ object GBP {
   }
 
   /** GBP gate: keep the trajectory iff `close >= mu * m`. */
-  def passes(qCells: Array[Long], d: Array[Point], eps: Double, mu: Double): Boolean =
+  def passes(qCells: Array[Long], d: collection.IndexedSeq[Point], eps: Double, mu: Double): Boolean =
     closeCount(qCells, d, eps) >= mu * qCells.length
 }

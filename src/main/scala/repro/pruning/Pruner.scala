@@ -2,11 +2,14 @@ package repro.pruning
 
 import repro.core._
 
-/** Algorithm 3: the full pruned search pipeline over a database of data
-  * trajectories — GBP gate, then KPF lower-bound gate against the best
-  * subtrajectory found so far, then the search algorithm itself. Generic in
-  * the search algorithm so the efficiency table can run every baseline
-  * through the identical pipeline (as the paper does for Table 3).
+import scala.collection.immutable.ArraySeq
+
+/** Algorithm 3's pruning cascade over a database of data trajectories — GBP
+  * gate, then KPF lower-bound gate against the incumbent, then the search
+  * algorithm itself. The incumbent loop is `TopK.search`; this object
+  * supplies the gate. Generic in the search algorithm so the efficiency
+  * table can run every baseline through the identical cascade (as the paper
+  * does for Table 3).
   */
 object Pruner {
 
@@ -20,50 +23,40 @@ object Pruner {
   final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0,
                          var kpfPruned: Int = 0, var searched: Int = 0)
 
-  /** Best hit over `data` for query `q` using `searchOne` on survivors.
-    * Mirrors Algorithm 3 lines 6–15: the first unpruned trajectory seeds the
-    * incumbent; afterwards KPF prunes against the incumbent's distance.
+  /** GBP→KPF gate for query `q` (Algorithm 3 lines 8–12), counting into
+    * `stats`. KPF prunes against the k-th best distance once k hits are held;
+    * at `r = 1` that is sound for any k, because the bound lower-bounds the
+    * trajectory's own optimum (Theorem B.1).
+    */
+  def gate(q: Array[Point], fn: DistFn[Point], params: Params,
+           stats: Stats = Stats()): TopK.Gate[Point] = {
+    val qCells = GBP.queryCells(q, params.eps)
+    val qIdx = ArraySeq.unsafeWrapArray(q)
+    (d, kth) => {
+      stats.examined += 1
+      if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
+        stats.gbpPruned += 1; false
+      } else if (params.useKPF && kth < Double.PositiveInfinity &&
+                 KPF.estimate(qIdx, d, fn, params.r) >= kth) {
+        stats.kpfPruned += 1; false
+      } else {
+        stats.searched += 1; true
+      }
+    }
+  }
+
+  /** Best hit over `data` for query `q` using `searchOne` on survivors: the
+    * k = 1 case of `TopK.search` behind `gate`. The first unpruned trajectory
+    * seeds the incumbent; afterwards KPF prunes against its distance.
     */
   def search(q: Array[Point], data: Iterable[(Long, Array[Point])], fn: DistFn[Point],
              params: Params,
              searchOne: (Array[Point], Array[Point]) => SubtrajResult,
              stats: Stats = Stats()): Option[TopK.Hit] = {
-    val qCells = GBP.queryCells(q, params.eps)
-    val qIdx: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(q)
-    var best: TopK.Hit = null
-    for ((id, d) <- data if d.nonEmpty) {
-      stats.examined += 1
-      if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
-        stats.gbpPruned += 1
-      } else if (best != null && params.useKPF &&
-                 KPF.estimate(qIdx, scala.collection.immutable.ArraySeq.unsafeWrapArray(d), fn, params.r) >= best.dist) {
-        stats.kpfPruned += 1
-      } else {
-        stats.searched += 1
-        val r = searchOne(q, d)
-        if (best == null || r.dist < best.dist) best = TopK.Hit(id, r.start, r.end, r.dist)
-      }
-    }
-    Option(best)
-  }
-
-  /** OSF-comparator variant of the pipeline (same shape, weaker bound). */
-  def searchOSF(q: Array[Point], data: Iterable[(Long, Array[Point])], fn: DistFn[Point],
-                r: Double, edrEps: Double,
-                searchOne: (Array[Point], Array[Point]) => SubtrajResult,
-                stats: Stats = Stats()): Option[TopK.Hit] = {
-    var best: TopK.Hit = null
-    for ((id, d) <- data if d.nonEmpty) {
-      stats.examined += 1
-      val box = OSF.bbox(d)
-      if (best != null && OSF.lowerBound(q, box, fn, r, edrEps) >= best.dist) {
-        stats.kpfPruned += 1
-      } else {
-        stats.searched += 1
-        val res = searchOne(q, d)
-        if (best == null || res.dist < best.dist) best = TopK.Hit(id, res.start, res.end, res.dist)
-      }
-    }
-    Option(best)
+    val wrapped = data.view.map { case (id, d) => (id, ArraySeq.unsafeWrapArray(d)) }
+    // The loop hands `searchOne` back the wrappers made here.
+    TopK.search[Point](ArraySeq.unsafeWrapArray(q), wrapped, 1,
+      (_, d) => searchOne(q, d.asInstanceOf[ArraySeq.ofRef[Point]].unsafeArray),
+      gate(q, fn, params, stats)).headOption
   }
 }

@@ -1,48 +1,47 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.Workloads
 
-/** Smoke tests of the provided scaffolding: SynthData generators are
-  * deterministic and the DuckDB oracle catches agreement/disagreement.
+/** Self-test of the DuckDB oracle on trajectory tables: it accepts an
+  * equivalent Spark result and flags a wrong one.
   */
 class OracleSmokeSpec extends AnyFunSuite with SparkSpec {
 
-  test("oracle: lineitem group-by returnflag counts (SF=0.001)") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val got = li.groupBy(col("l_returnflag")).agg(count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(got,
-      "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+  private lazy val trajs = Workloads.data(spark, Workloads.tiny).cache()
+
+  /** One row per trajectory: its id and point count. */
+  private lazy val lengths: DataFrame =
+    trajs.select(col("id"), size(col("xs")).as("len"))
+
+  /** One row per sample point: trajectory id, position and coordinates. */
+  private lazy val points: DataFrame = {
+    import spark.implicits._
+    trajs.flatMap(t => t.xs.indices.map(i => (t.id, i, t.xs(i), t.ys(i))))
+      .toDF("trajId", "idx", "x", "y")
   }
 
-  test("oracle: orders join customer aggregate (SF=0.001)") {
-    val o = SynthData.orders(spark, sf = 0.001).cache()
-    val c = SynthData.customer(spark, sf = 0.001).cache()
-    val got = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy(col("c_mktsegment"))
-      .agg(count(lit(1)).as("cnt"))
+  test("oracle: trajectory points join/group-by aggregate") {
+    val got = lengths.join(points, lengths("id") === points("trajId"))
+      .groupBy(col("id"), col("len"))
+      .agg(count(lit(1)).as("cnt"), max(col("x")).as("max_x"))
     Oracle.assertEquivalent(got,
-      """SELECT c_mktsegment, count(*) AS cnt
-        |FROM orders JOIN customer ON CAST(o_custkey AS BIGINT) = CAST(c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
+      """SELECT CAST(id AS BIGINT) AS id, CAST(len AS INTEGER) AS len,
+        |       count(*) AS cnt, max(CAST(x AS DOUBLE)) AS max_x
+        |FROM lengths JOIN points ON CAST(id AS BIGINT) = CAST(trajId AS BIGINT)
+        |GROUP BY 1, 2""".stripMargin,
+      "lengths" -> lengths, "points" -> points)
   }
 
   test("oracle flags a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val wrong = li.groupBy(col("l_returnflag"))
+    val wrong = points.groupBy(col("trajId"))
       .agg((count(lit(1)) + 1).as("cnt")) // deliberately off by one
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT CAST(trajId AS BIGINT) AS trajId, count(*) AS cnt FROM points GROUP BY 1",
+        "points" -> points)
     }
-  }
-
-  test("SynthData generators are deterministic in (sf, seed)") {
-    val a = SynthData.part(spark, sf = 0.001).collect().map(_.toString).sorted
-    val b = SynthData.part(spark, sf = 0.001).collect().map(_.toString).sorted
-    assert(a.toSeq == b.toSeq)
   }
 }

@@ -46,6 +46,18 @@ class TopKSpec extends AnyFunSuite {
     }
   }
 
+  test("topK gate sees +inf until k hits are held, then the k-th best distance") {
+    val data = db(4, 8)
+    val q = TestGen.randPoints(new Random(10), 4)
+    val seen = scala.collection.mutable.ArrayBuffer.empty[Double]
+    TopK.search(q, data, 2, (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, Dist.dtw),
+      (_: IndexedSeq[Point], kth: Double) => { seen += kth; true })
+    val dists = data.map { case (_, d) => CMA.search(q, d, Dist.dtw).dist }
+    val want = dists.indices.map(i =>
+      if (i < 2) Double.PositiveInfinity else dists.take(i).sorted.apply(1))
+    assert(seen.toSeq == want)
+  }
+
   test("topK rejects k < 1") {
     intercept[IllegalArgumentException] {
       TopK.cma(TestGen.randPoints(new Random(1), 3), db(1, 3), 0, Dist.dtw)

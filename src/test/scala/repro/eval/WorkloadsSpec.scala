@@ -18,11 +18,12 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("SynthData.trajectories matches TrajGen on the executors") {
-    val spec = Workloads.tiny.gen
-    val ds = repro.SynthData.trajectories(spark, 6, spec, seed = 5).collect().sortBy(_.id)
+  test("Workloads.data without road snapping matches TrajGen on the executors") {
+    val spec = Workloads.tiny.copy(road = false)
+    val ds = Workloads.data(spark, spec).collect().sortBy(_.id)
+    assert(ds.length == spec.nData)
     for (t <- ds) {
-      val want = TrajGen.gen(t.id, spec, 5)
+      val want = TrajGen.gen(t.id, spec.gen, spec.seed)
       assert(t.xs.toSeq == want.xs.toSeq)
     }
   }

@@ -5,9 +5,8 @@ import repro.core._
 
 import scala.util.Random
 
-/** GBP / KPF / OSF: soundness of the lower bounds (Theorem B.1), grid
-  * semantics, and exactness of the full Algorithm-3 pipeline under safe
-  * parameters.
+/** GBP / KPF: soundness of the lower bounds (Theorem B.1), grid semantics,
+  * and exactness of the full Algorithm-3 pipeline under safe parameters.
   */
 class PruningSpec extends AnyFunSuite {
 
@@ -85,25 +84,6 @@ class PruningSpec extends AnyFunSuite {
     assert(large >= small)
   }
 
-  // --- OSF bound soundness ---
-  for (seed <- 0 until 6)
-    test(s"OSF bbox lower bound <= exact optimum [seed=$seed]") {
-      val (q, d) = TestGen.randPair(seed * 67 + 23)
-      val box = OSF.bbox(d.toArray)
-      for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.fd, Dist.erp(Point(0.5, 0.5)), Dist.edr(0.3))) {
-        val lb = OSF.lowerBound(q.toArray, box, fn, 1.0, edrEps = 0.3)
-        val opt = CMA.search(q, d, fn).dist
-        assert(lb <= opt + 1e-9, s"${fn.name}: lb=$lb opt=$opt")
-      }
-    }
-
-  test("OSF bbox distance is zero inside, positive outside") {
-    val box = OSF.BBox(0, 0, 1, 1)
-    assert(box.distTo(Point(0.5, 0.5)) == 0.0)
-    TestGen.assertSameDist(box.distTo(Point(2, 1)), 1.0)
-    TestGen.assertSameDist(box.distTo(Point(-3, -4)), 5.0)
-  }
-
   // --- Algorithm 3 pipeline exactness under safe parameters ---
   for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.erp(Point(0.5, 0.5))); seed <- 0 until 6)
     test(s"pipeline with KPF-only (safe r=1) is exact [${fn.name} seed=$seed]") {
@@ -112,8 +92,13 @@ class PruningSpec extends AnyFunSuite {
       val params = Pruner.Params(eps = 1.0, mu = 0.4, r = 1.0, useGBP = false, useKPF = true)
       val got = Pruner.search(q, db, fn, params,
         (a, b) => CMA.search(a, b, fn)).get
-      val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.min
-      TestGen.assertSameDist(got.dist, want)
+      val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.sorted
+      TestGen.assertSameDist(got.dist, want.head)
+      // k = 3: KPF prunes against the third-best distance.
+      val top3 = TopK.search(q.toIndexedSeq, db.map { case (id, d) => (id, d.toIndexedSeq) }, 3,
+        (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn), Pruner.gate(q, fn, params))
+      assert(top3.length == 3)
+      for ((h, w) <- top3.zip(want)) TestGen.assertSameDist(h.dist, w)
     }
 
   test("pipeline prunes most of a database of far trajectories") {
@@ -128,32 +113,5 @@ class PruningSpec extends AnyFunSuite {
       (a, b) => CMA.search(a, b, Dist.dtw), stats).get
     assert(got.trajId == 0L)
     assert(stats.gbpPruned >= 18, s"stats=$stats")
-  }
-
-  test("OSF pipeline returns the same optimum as unpruned search (sound bound)") {
-    val db = smallDb(77)
-    val q = TestGen.randPoints(new Random(5), 6).toArray
-    val fn = Dist.dtw
-    val got = Pruner.searchOSF(q, db, fn, r = 1.0, edrEps = 0.3,
-      (a, b) => CMA.search(a, b, fn)).get
-    val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.min
-    TestGen.assertSameDist(got.dist, want)
-  }
-
-  test("GBP+KPF prunes at least as many trajectories as the OSF comparator") {
-    val r = new Random(11)
-    // half near the query, half far
-    val db = Array.tabulate(20) { i =>
-      val base = TestGen.randPoints(r, 12)
-      val shifted = if (i % 2 == 0) base else base.map(p => Point(p.x + 30, p.y + 30))
-      (i.toLong, shifted.toArray)
-    }
-    val q = TestGen.randPoints(new Random(12), 8).toArray
-    val s1 = Pruner.Stats(); val s2 = Pruner.Stats()
-    Pruner.search(q, db, Dist.dtw, Pruner.Params(eps = 0.5, mu = 0.3, r = 1.0),
-      (a, b) => CMA.search(a, b, Dist.dtw), s1)
-    Pruner.searchOSF(q, db, Dist.dtw, r = 1.0, edrEps = 0.3,
-      (a, b) => CMA.search(a, b, Dist.dtw), s2)
-    assert(s1.gbpPruned + s1.kpfPruned >= s2.kpfPruned, s"gbpkpf=$s1 osf=$s2")
   }
 }

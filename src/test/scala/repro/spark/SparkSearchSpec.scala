@@ -1,15 +1,19 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
+import repro.baselines.ExactS
 import repro.core._
 import repro.eval.Workloads
-import repro.pruning.GBP
+import repro.pruning.{GBP, Pruner}
+
+import scala.collection.immutable.ArraySeq
 
 /** Distributed search: the Spark dataflow must equal the driver-side loop,
-  * and its DataFrame pieces (GBP candidate join, top-K merge) are checked
-  * against DuckDB via the Oracle.
+  * with and without the pruning gate, and its DataFrame merge is checked
+  * against DuckDB via the Oracle (as is the GBP candidate set).
   */
 class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
@@ -17,20 +21,31 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   private lazy val data  = Workloads.data(spark, spec).cache()
   private lazy val local = Workloads.dataLocal(spec)
   private lazy val q     = Workloads.queries(spec).head
+  private val fns        = Workloads.distFns(Workloads.tiny)
 
   private def localBest(fn: DistFn[Point]): Seq[(Long, SubtrajResult)] =
     local.toSeq.map(t => (t.id, CMA.search(q, t.points, fn)))
 
-  for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.edr(spec.edrEps), Dist.erp(spec.erpCenter), Dist.fd))
+  /** Every trajectory's best hit, one row each. */
+  private def allHits(fn: DistFn[Point]): Array[TopK.Hit] =
+    SparkSearch.topK(data, q, fn, spec.nData).sortBy(_.trajId)
+
+  /** `allHits` as a table for the oracle (`end` is an SQL keyword). */
+  private def hitsTable(fn: DistFn[Point]): DataFrame = {
+    import spark.implicits._
+    allHits(fn).toSeq.toDF().select("trajId", "dist")
+  }
+
+  for (fn <- fns)
     test(s"distributed best == driver-side best [${fn.name}]") {
-      val got = SparkSearch.best(data, q, fn)
+      val got = SparkSearch.topK(data, q, fn, 1).head
       val want = localBest(fn).map(_._2.dist).min
       TestGen.assertSameDist(got.dist, want)
     }
 
-  test("perTrajectory emits one exact hit per trajectory") {
+  test("topK over every trajectory emits one exact hit per trajectory") {
     val fn = Dist.dtw
-    val hits = SparkSearch.perTrajectory(data, q, fn).collect().sortBy(_.trajId)
+    val hits = allHits(fn)
     val want = localBest(fn)
     assert(hits.length == want.length)
     for ((h, (id, r)) <- hits.zip(want)) {
@@ -39,11 +54,16 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("perTrajectory with algo=exacts agrees with CMA distances") {
+  test("topK over every trajectory with ExactS agrees with CMA distances") {
     val fn = Dist.fd
-    val a = SparkSearch.perTrajectory(data, q, fn, "cma").collect().sortBy(_.trajId)
-    val b = SparkSearch.perTrajectory(data, q, fn, "exacts").collect().sortBy(_.trajId)
-    for ((x, y) <- a.zip(b)) TestGen.assertSameDist(x.dist, y.dist)
+    val a = allHits(fn)
+    val b = SparkSearch.topK(data, q, fn, spec.nData,
+      searchOne = Some((x: IndexedSeq[Point], y: IndexedSeq[Point]) => ExactS.search(x, y, fn))).sortBy(_.trajId)
+    assert(a.length == spec.nData && b.length == spec.nData)
+    for ((x, y) <- a.zip(b)) {
+      assert(x.trajId == y.trajId)
+      TestGen.assertSameDist(x.dist, y.dist)
+    }
   }
 
   for (k <- Seq(1, 3, 5))
@@ -55,31 +75,41 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
       for ((g, (_, w)) <- got.zip(want)) TestGen.assertSameDist(g.dist, w.dist)
     }
 
-  test("gbpCandidates == driver-side GBP counts") {
-    val eps = spec.gen.stepKm * 8; val mu = 0.3
-    val got = SparkSearch.gbpCandidates(data, q, eps, mu)
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val qCells = GBP.queryCells(q, eps)
-    val want = local.map(t => t.id -> GBP.closeCount(qCells, t.points, eps).toLong)
-      .filter(_._2 >= mu * q.length).toMap
-    assert(got == want)
+  // KPF at r = 0.05 is heuristic and each partition prunes against its own
+  // incumbent, so this agreement is a property of the tiny workload (KPF
+  // never overestimates its optimal trajectory), not of every partitioning.
+  for (fn <- fns)
+    test(s"distributed topK with Table-3 pruning == driver Pruner.search [${fn.name}]") {
+      val params = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05)
+      val got = SparkSearch.topK(data, q, fn, 1, Some(params))
+      val want = Pruner.search(q, local.map(t => (t.id, t.points)), fn, params,
+        (a, b) => CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn))
+      assert(got.map(_.dist).toSeq == want.map(_.dist).toSeq)
+    }
+
+  test("distributed topK applies the pruning params in every partition") {
+    // close(τq, τd) <= m, so mu = 2 lets no trajectory through GBP.
+    val shut = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 2.0)
+    assert(SparkSearch.topK(data, q, Dist.dtw, 3, Some(shut)).isEmpty)
   }
 
-  test("searchPruned with safe mu finds the global optimum") {
-    val fn = Dist.dtw
-    val got = SparkSearch.searchPruned(data, q, fn, eps = spec.gen.stepKm * 20, mu = 0.0, k = 1)
-    val want = localBest(fn).map(_._2.dist).min
-    assert(got.nonEmpty)
-    TestGen.assertSameDist(got.head.dist, want)
-  }
+  // No GBP and KPF at r = 1: Theorem B.1 makes every prune sound, for any k.
+  for (fn <- fns; k <- Seq(1, 3, 5))
+    test(s"distributed topK with safe pruning == unpruned TopK.cma [${fn.name} k=$k]") {
+      val params = Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false)
+      val got = SparkSearch.topK(data, q, fn, k, Some(params))
+      val want = TopK.cma(ArraySeq.unsafeWrapArray(q),
+        local.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])), k, fn)
+      assert(got.length == want.length)
+      for ((g, w) <- got.zip(want)) TestGen.assertSameDist(g.dist, w.dist)
+    }
 
   // ------------------------------------------------------------------
   // DuckDB oracle checks of the DataFrame logic
   // ------------------------------------------------------------------
 
   test("oracle: top-1 arg-min aggregation over per-trajectory hits") {
-    import spark.implicits._
-    val hits = SparkSearch.perTrajectory(data, q, Dist.dtw).toDF()
+    val hits = hitsTable(Dist.dtw)
     val sparkMin = hits.agg(min(col("dist")).as("best_dist"))
     Oracle.assertEquivalent(sparkMin,
       "SELECT min(CAST(dist AS DOUBLE)) AS best_dist FROM hits",
@@ -88,10 +118,10 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
   test("oracle: top-K order-by/limit merge matches SQL ranking") {
     import spark.implicits._
-    val hits = SparkSearch.perTrajectory(data, q, Dist.dtw).toDF()
+    val hits = hitsTable(Dist.dtw)
     val k = 3
     // Compare the *distance multiset* of the top-K (ties could reorder ids).
-    val sparkTop = hits.orderBy(col("dist").asc, col("trajId").asc).limit(k)
+    val sparkTop = SparkSearch.topK(data, q, Dist.dtw, k).toSeq.toDF()
       .agg(sum(col("dist")).as("sum_dist"), count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(sparkTop,
       s"""SELECT sum(dist) AS sum_dist, count(*) AS cnt FROM (
@@ -103,15 +133,19 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   test("oracle: GBP candidate join/count pipeline") {
     import spark.implicits._
     val eps = spec.gen.stepKm * 8; val mu = 0.3
-    // Rebuild the two pipeline inputs exactly as SparkSearch.gbpCandidates does.
+    // Eq. 27 as SQL: the dilated cells B(·) of each trajectory joined with
+    // the query points' cells, counted per trajectory.
     val dataCells = data.flatMap { t =>
       t.points.iterator.flatMap(p => GBP.dilate(GBP.cell(p, eps))).map(c => (t.id, c)).toSeq
     }.toDF("trajId", "cell").distinct()
     val qCells = q.zipWithIndex.map { case (p, i) => (i, GBP.cell(p, eps)) }
       .toSeq.toDF("qIdx", "cell")
-    val got = SparkSearch.gbpCandidates(data, q, eps, mu)
+    val cells = GBP.queryCells(q, eps)
+    val kept = local.filter(t => GBP.passes(cells, t.points, eps, mu))
+      .map(t => (t.id, GBP.closeCount(cells, t.points, eps).toLong))
+    assert(kept.nonEmpty && kept.length < local.length)
     val threshold = mu * q.length
-    Oracle.assertEquivalent(got,
+    Oracle.assertEquivalent(kept.toSeq.toDF("trajId", "close"),
       s"""SELECT CAST(trajId AS BIGINT) AS trajId, count(DISTINCT qIdx) AS close
          |FROM dataCells JOIN qCells USING (cell)
          |GROUP BY trajId
