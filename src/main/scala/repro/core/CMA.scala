@@ -34,6 +34,11 @@ object CMA {
     * in-row `ins`-chain term `C[i][j-1] + ins(d[j-1]) - sub(q[i], d[j-1]) +
     * sub(q[i], d[j])`, which folds `min_{k<j-1} C[i-1][k] + ins(d[k+1:j-1])`
     * into a single O(1) transition.
+    *
+    * Each cost is evaluated once: `del(q[i])` per query point, `ins(d[j])`
+    * per data point (both before the row loop) and `sub(q[i], d[j])` per
+    * cell, carried one column for the `ins`-chain term — m·n `sub`, n `ins`
+    * and m `del` calls in all.
     */
   private def searchWed[T](q: IndexedSeq[T], d: IndexedSeq[T], c: WedCosts[T]): SubtrajResult = {
     val m = q.length; val n = d.length
@@ -42,13 +47,19 @@ object CMA {
     var prevS = new Array[Int](n + 1)    // start index s[i-1][*]
     var curS  = new Array[Int](n + 1)
 
-    // delPrefix(i) = del(q[1:i])
+    // delQ(i) = del(q[i]); delPrefix(i) = del(q[1:i])
+    val delQ = new Array[Double](m + 1)
     val delPrefix = new Array[Double](m + 1)
     var i = 1
-    while (i <= m) { delPrefix(i) = delPrefix(i - 1) + c.del(q(i - 1)); i += 1 }
+    while (i <= m) { delQ(i) = c.del(q(i - 1)); delPrefix(i) = delPrefix(i - 1) + delQ(i); i += 1 }
+
+    // insD(j) = ins(d[j])
+    val insD = new Array[Double](n + 1)
+    var j = 1
+    while (j <= n) { insD(j) = c.ins(d(j - 1)); j += 1 }
 
     // i = 1: C[1][j] = sub(q1, dj), s[1][j] = j
-    var j = 1
+    j = 1
     while (j <= n) { curC(j) = c.sub(q(0), d(j - 1)); curS(j) = j; j += 1 }
 
     i = 2
@@ -56,24 +67,23 @@ object CMA {
       var t = prevC; prevC = curC; curC = t
       var ts = prevS; prevS = curS; curS = ts
       val qi = q(i - 1)
-      val delQi = c.del(qi)
+      val delQi = delQ(i)
+      var subPrev = c.sub(qi, d(0)) // sub(qi, d[j-1]) for the next column j
 
       // j = 1: delete qi (q[i-1] also matched d1), or substitute qi for d1
       // after deleting the whole query prefix q[1:i-1].
       val a1 = prevC(1) + delQi
-      val b1 = c.sub(qi, d(0)) + delPrefix(i - 1)
+      val b1 = subPrev + delPrefix(i - 1)
       if (a1 <= b1) { curC(1) = a1; curS(1) = prevS(1) }
       else          { curC(1) = b1; curS(1) = 1 }
 
       val freshTail = delPrefix(i - 1)
       j = 2
       while (j <= n) {
-        val dj   = d(j - 1)
-        val djm1 = d(j - 2)
-        val subJ = c.sub(qi, dj)
-        val delB = prevC(j) + delQi                                   // delete qi
-        val insB = curC(j - 1) + c.ins(djm1) - c.sub(qi, djm1) + subJ // ins-chain
-        val subB = prevC(j - 1) + subJ                                // substitute
+        val subJ = c.sub(qi, d(j - 1))
+        val delB = prevC(j) + delQi                                 // delete qi
+        val insB = curC(j - 1) + insD(j - 1) - subPrev + subJ       // ins-chain
+        val subB = prevC(j - 1) + subJ                              // substitute
         // Fresh-start branch: delete the query prefix q[1:i-1] and open the
         // window at d[j]. Eq. 7 writes this only for j = 1, which loses the
         // optimum when deleting the query head is cheaper than substituting
@@ -92,6 +102,7 @@ object CMA {
           case 2 => prevS(j - 1)
           case _ => j
         }
+        subPrev = subJ
         j += 1
       }
       i += 1

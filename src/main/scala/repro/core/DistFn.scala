@@ -6,6 +6,9 @@ package repro.core
   *
   * CMA's `ins`-chain shortcut (Eq. 7) assumes the triangle-type inequality
   * `del(x) + ins(y) >= sub(x, y)`; all shipped instances satisfy it.
+  *
+  * Costs must be pure: CMA evaluates each `sub` once per DP cell, `ins` once
+  * per data point and `del` once per query point, and reuses the values.
   */
 trait WedCosts[T] extends Serializable {
   def sub(a: T, b: T): Double

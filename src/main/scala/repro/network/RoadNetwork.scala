@@ -2,6 +2,8 @@ package repro.network
 
 import repro.core.Point
 
+import java.util.concurrent.atomic.AtomicReferenceArray
+
 import scala.collection.mutable
 import scala.util.Random
 
@@ -12,6 +14,8 @@ import scala.util.Random
   *
   * Shortest-path distances come from Dijkstra with per-source memoization
   * (the appendix notes Net* functions pay exactly this shortest-path cost).
+  * The memo is one slot per source node, read and written without a lock,
+  * so concurrent searches share it.
   */
 final class RoadNetwork(val xs: Array[Double], val ys: Array[Double],
                         val adj: Array[Array[(Int, Double)]]) extends Serializable {
@@ -22,7 +26,11 @@ final class RoadNetwork(val xs: Array[Double], val ys: Array[Double],
   lazy val edges: Array[(Int, Int, Double)] =
     adj.zipWithIndex.flatMap { case (ns, u) => ns.map { case (v, w) => (u, v, w) } }
 
-  @transient private lazy val spCache = new mutable.HashMap[Int, Array[Double]]()
+  /** Id in [[edges]] of each node's first out-edge: prefix sums of `adj` lengths. */
+  private lazy val edgeOffset: Array[Int] = adj.scanLeft(0)(_ + _.length)
+
+  /** Dijkstra row of each source node, `null` until first asked for. */
+  @transient private lazy val spRows = new AtomicReferenceArray[Array[Double]](nNodes)
 
   /** Single-source shortest-path distances (uncached). */
   def dijkstra(src: Int): Array[Double] = {
@@ -45,9 +53,15 @@ final class RoadNetwork(val xs: Array[Double], val ys: Array[Double],
     dist
   }
 
-  /** Network distance with per-source caching. */
-  def dist(a: Int, b: Int): Double =
-    spCache.synchronized { spCache.getOrElseUpdate(a, dijkstra(a)) }(b)
+  /** Network distance with per-source caching. Threads that miss the same
+    * row at once each run `dijkstra(a)` and store equal rows, so no lock is
+    * needed; at most `nNodes` rows are ever held.
+    */
+  def dist(a: Int, b: Int): Double = {
+    var row = spRows.get(a)
+    if (row == null) { row = dijkstra(a); spRows.set(a, row) }
+    row(b)
+  }
 
   def nodePoint(v: Int): Point = Point(xs(v), ys(v))
 
@@ -86,12 +100,19 @@ final class RoadNetwork(val xs: Array[Double], val ys: Array[Double],
   }
 
   /** Edge-id sequence of a node walk (index into [[edges]]); consecutive
-    * nodes must be adjacent (true for [[walk]] outputs on connected graphs).
+    * nodes must be adjacent (true for [[walk]] outputs on connected graphs),
+    * non-adjacent steps are skipped. Parallel edges map to the last one.
     */
   def walkEdges(nodes: Array[Int]): Array[Int] = {
-    val idx = new mutable.HashMap[(Int, Int), Int]()
-    edges.zipWithIndex.foreach { case ((u, v, _), i) => idx((u, v)) = i }
-    nodes.sliding(2).collect { case Array(u, v) if idx.contains((u, v)) => idx((u, v)) }.toArray
+    val out = Array.newBuilder[Int]
+    var k = 1
+    while (k < nodes.length) {
+      val u = nodes(k - 1); val v = nodes(k)
+      val e = adj(u).lastIndexWhere(_._1 == v)
+      if (e >= 0) out += edgeOffset(u) + e
+      k += 1
+    }
+    out.result()
   }
 }
 

@@ -53,18 +53,26 @@ object KPF {
   }
 
   /** Sampled estimate `minCost_e` (Eq. 28): `1/r`-scaled for sum-type
-    * functions, plain max for FD.
+    * functions, plain max for FD. Summing (maxing) stops once the value that
+    * would be returned reaches `stopAt`; costs are non-negative, so the
+    * partial value never decreases and `estimate(.., stopAt) >= stopAt`
+    * exactly when the full estimate is, and below `stopAt` the two are equal.
     */
-  def estimate[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], r: Double): Double = {
+  def estimate[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], r: Double,
+                  stopAt: Double = Double.PositiveInfinity): Double = {
     val idx = keyPointIdx(q.length, r)
     fn match {
       case FrechetFn(_, _) =>
         var mx = 0.0; var k = 0
-        while (k < idx.length) { val c = pointMinCost(q(idx(k)), d, fn); if (c > mx) mx = c; k += 1 }
+        while (k < idx.length && mx < stopAt) {
+          val c = pointMinCost(q(idx(k)), d, fn); if (c > mx) mx = c; k += 1
+        }
         mx
       case _ =>
         var sum = 0.0; var k = 0
-        while (k < idx.length) { sum += pointMinCost(q(idx(k)), d, fn); k += 1 }
+        while (k < idx.length && sum * q.length / idx.length < stopAt) {
+          sum += pointMinCost(q(idx(k)), d, fn); k += 1
+        }
         sum * q.length / idx.length
     }
   }

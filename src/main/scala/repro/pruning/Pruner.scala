@@ -26,7 +26,8 @@ object Pruner {
   /** GBP→KPF gate for query `q` (Algorithm 3 lines 8–12), counting into
     * `stats`. KPF prunes against the k-th best distance once k hits are held;
     * at `r = 1` that is sound for any k, because the bound lower-bounds the
-    * trajectory's own optimum (Theorem B.1).
+    * trajectory's own optimum (Theorem B.1). The estimate stops summing once
+    * it reaches the k-th best, which leaves every decision unchanged.
     */
   def gate(q: Array[Point], fn: DistFn[Point], params: Params,
            stats: Stats = Stats()): TopK.Gate[Point] = {
@@ -37,7 +38,7 @@ object Pruner {
       if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
         stats.gbpPruned += 1; false
       } else if (params.useKPF && kth < Double.PositiveInfinity &&
-                 KPF.estimate(qIdx, d, fn, params.r) >= kth) {
+                 KPF.estimate(qIdx, d, fn, params.r, stopAt = kth) >= kth) {
         stats.kpfPruned += 1; false
       } else {
         stats.searched += 1; true

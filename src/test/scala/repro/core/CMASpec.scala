@@ -139,6 +139,37 @@ class CMASpec extends AnyFunSuite {
     }
   }
 
+  // --- Eq. 7 evaluates each cost once: m·n sub, n ins, m del ---
+  private final class CountingCosts[T](c: WedCosts[T]) extends WedCosts[T] {
+    var subs, dels, inss = 0
+    def sub(a: T, b: T): Double = { subs += 1; c.sub(a, b) }
+    def del(a: T): Double = { dels += 1; c.del(a) }
+    def ins(b: T): Double = { inss += 1; c.ins(b) }
+  }
+
+  private def checkCounts[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: WedFn[T]): Unit = {
+    val counted = new CountingCosts(fn.costs)
+    val r = CMA.search(q, d, WedFn(fn.name, counted))
+    val (m, n) = (q.length, d.length)
+    assert((counted.subs, counted.inss, counted.dels) == ((m * n, n, m)),
+      s"${fn.name} m=$m n=$n: (sub, ins, del) calls")
+    assert(r == CMA.search(q, d, fn))
+  }
+
+  test("WED-family CMA evaluates m*n sub, n ins and m del costs") {
+    val pointWeds = Seq(Dist.edr(0.3), Dist.erp(Point(0.5, 0.5)))
+    for (fn <- pointWeds; seed <- 0 until 12) {
+      val (q, d) = TestGen.randPair(seed + 700)
+      checkCounts(q, d, fn)
+    }
+    for (fn <- pointWeds; (m, n) <- Seq((1, 1), (1, 7), (6, 1), (3, 3))) {
+      val r = new scala.util.Random(m * 31 + n)
+      checkCounts(TestGen.randPoints(r, m), TestGen.randPoints(r, n), fn)
+    }
+    for ((q, d) <- Seq(("a", "a"), ("a", "xxaxy"), ("abXc", "b"), ("abXc", "qqabcqq")))
+      checkCounts(q.toIndexedSeq, d.toIndexedSeq, wed)
+  }
+
   test("CMA optimum is never above any single full distance (Eq. 5 direction)") {
     for (seed <- 0 until 8) {
       val (q, d) = TestGen.randPair(seed + 600)

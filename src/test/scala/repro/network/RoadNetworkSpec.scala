@@ -71,6 +71,61 @@ class RoadNetworkSpec extends AnyFunSuite {
       val (u, v, _) = net.edges(e)
       assert(u == w(k) && v == w(k + 1))
     }
+    // Same ids as a (u, v) -> last index map over `edges`, on random walks
+    // and on node sequences with non-adjacent steps (which are skipped).
+    val idx = net.edges.zipWithIndex.map { case ((u, v, _), i) => (u, v) -> i }.toMap
+    def viaMap(ns: Array[Int]): Seq[Int] =
+      ns.toSeq.sliding(2).collect { case Seq(u, v) if idx.contains((u, v)) => idx((u, v)) }.toSeq
+    val r = new scala.util.Random(11)
+    for (seed <- 0 until 40) {
+      val walk = net.walk(r.nextInt(net.nNodes), 1 + r.nextInt(30), seed)
+      assert(net.walkEdges(walk).toSeq == viaMap(walk))
+      val jumpy = Array.fill(1 + r.nextInt(12))(r.nextInt(net.nNodes))
+      assert(net.walkEdges(jumpy).toSeq == viaMap(jumpy))
+    }
+    assert(net.walkEdges(Array.empty[Int]).isEmpty)
+  }
+
+  // --- the shortest-path cache under concurrent use ---
+  private def inParallel[A](threads: Int)(body: Int => A): Seq[A] = {
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(threads)
+    try {
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val fs = (0 until threads).map { t =>
+        pool.submit(new java.util.concurrent.Callable[A] {
+          def call(): A = { start.await(); body(t) }
+        })
+      }
+      start.countDown()
+      fs.map(_.get(60, java.util.concurrent.TimeUnit.SECONDS))
+    } finally pool.shutdownNow()
+  }
+
+  test("dist from 8 threads on a cold cache equals dijkstra") {
+    val fresh = RoadNetwork.grid(9, 9, 1.0, seed = 13)
+    val pairs = inParallel(8) { t =>
+      val r = new scala.util.Random(t)
+      Array.fill(3000) {
+        val a = r.nextInt(fresh.nNodes); val b = r.nextInt(fresh.nNodes)
+        (a, b, fresh.dist(a, b))
+      }
+    }
+    val rows = Array.tabulate(fresh.nNodes)(fresh.dijkstra)
+    for (ps <- pairs; (a, b, got) <- ps) assert(got == rows(a)(b), s"dist($a, $b)")
+  }
+
+  test("NetERP top-K from 4 threads == single-threaded") {
+    def setup(n: RoadNetwork) = {
+      val r = new scala.util.Random(5)
+      val data = (0 until 12).map(i => (i.toLong, n.walk(r.nextInt(n.nNodes), 20 + r.nextInt(20), i).toIndexedSeq))
+      val qs = (0 until 8).map(i => n.walk(r.nextInt(n.nNodes), 4 + r.nextInt(6), 100 + i).toIndexedSeq)
+      (data, qs, NetDist.netErp(n, center = n.nNodes / 2))
+    }
+    val (data, qs, fn) = setup(RoadNetwork.grid(9, 9, 1.0, seed = 17))
+    val got = inParallel(4)(t => qs.map(q => TopK.cma(q, data, 3, fn).toSeq))
+    val (data1, qs1, fn1) = setup(RoadNetwork.grid(9, 9, 1.0, seed = 17))
+    val want = qs1.map(q => TopK.cma(q, data1, 3, fn1).toSeq)
+    for (g <- got) assert(g == want)
   }
 
   // --- Appendix-D distance functions: CMA remains exact ---

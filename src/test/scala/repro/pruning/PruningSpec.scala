@@ -48,6 +48,65 @@ class PruningSpec extends AnyFunSuite {
     TestGen.assertSameDist(KPF.estimate(q, d, fn, 1.0), KPF.lowerBound(q, d, fn))
   }
 
+  // --- KPF early stop at the incumbent ---
+  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+
+  for (fn <- TestGen.pointFns; rate <- Seq(0.05, 1.0))
+    test(s"KPF estimate stopped at a threshold decides as the full estimate [${fn.name} r=$rate]") {
+      val r = new Random(fn.name.hashCode + (rate * 100).toInt)
+      for (_ <- 0 until 40) {
+        val q = TestGen.randPoints(r, 1 + r.nextInt(80))
+        val d = TestGen.randPoints(r, 1 + r.nextInt(30))
+        val full = KPF.estimate(q, d, fn, rate)
+        val around = Seq(0.0, full, Math.nextDown(full), Math.nextUp(full),
+          Double.PositiveInfinity) ++ Seq.fill(8)(full * (0.5 + r.nextDouble()))
+        for (t <- around) {
+          val stopped = KPF.estimate(q, d, fn, rate, stopAt = t)
+          assert((stopped >= t) == (full >= t), s"stopAt=$t full=$full stopped=$stopped")
+          if (full < t) assert(bits(stopped) == bits(full), s"stopAt=$t full=$full stopped=$stopped")
+        }
+      }
+    }
+
+  /** `Pruner.gate` as it was before the early stop: the full KPF estimate. */
+  private def fullEstimateGate(q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
+                               stats: Pruner.Stats): TopK.Gate[Point] = {
+    val qCells = GBP.queryCells(q, params.eps)
+    (d, kth) => {
+      stats.examined += 1
+      if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
+        stats.gbpPruned += 1; false
+      } else if (params.useKPF && kth < Double.PositiveInfinity &&
+                 KPF.estimate(q.toIndexedSeq, d, fn, params.r) >= kth) {
+        stats.kpfPruned += 1; false
+      } else {
+        stats.searched += 1; true
+      }
+    }
+  }
+
+  for (fn <- TestGen.pointFns.take(4); rate <- Seq(0.05, 1.0))
+    test(s"gate with early-stopped KPF keeps hits and stats [${fn.name} r=$rate]") {
+      var kpfPruned = 0
+      for (seed <- 0 until 6; k <- Seq(1, 3)) {
+        val r = new Random(seed + 300)
+        val db = Array.tabulate(30)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(30)).toArray))
+        val q = TestGen.randPoints(r, 20 + r.nextInt(40)).toArray
+        val params = Pruner.Params(eps = 0.2, mu = 0.1, r = rate, useGBP = seed % 2 == 0)
+        val search = (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn)
+        val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
+        val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
+        val got =
+          if (k == 1) Pruner.search(q, db, fn, params, (a, b) => CMA.search(a, b, fn), gotStats).toArray
+          else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
+        val want = TopK.search(q.toIndexedSeq, wrapped, k, search, fullEstimateGate(q, fn, params, wantStats))
+        assert(got.toSeq == want.toSeq, s"seed=$seed k=$k")
+        assert(gotStats == wantStats, s"seed=$seed k=$k")
+        kpfPruned += wantStats.kpfPruned
+      }
+      assert(kpfPruned > 0, "KPF never pruned")
+    }
+
   // --- GBP grid semantics ---
   test("GBP cell packing is injective on distinct cells") {
     val eps = 0.25
