@@ -31,34 +31,46 @@ final case class DtwFn[T](name: String, subFn: (T, T) => Double) extends DistFn[
 
 final case class FrechetFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T]
 
+/** Euclidean point cost `a.distTo(b)`, the sub-cost of DTW and FD. A named
+  * object, so `repro.pruning.KPF` can recognise it by type and index the
+  * data points for its lower bound.
+  */
+case object Euclid extends ((Point, Point) => Double) {
+  def apply(a: Point, b: Point): Double = a.distTo(b)
+}
+
+/** EDR costs (Chen et al. [5]): unit indel costs, substitution free iff the
+  * points are within `eps`.
+  */
+final case class EdrCosts(eps: Double) extends WedCosts[Point] {
+  def sub(a: Point, b: Point): Double = if (a.distTo(b) <= eps) 0.0 else 1.0
+  def del(a: Point): Double = 1.0
+  def ins(b: Point): Double = 1.0
+}
+
+/** ERP costs (Chen & Ng [4]): Euclidean substitution, indel cost = distance
+  * to a fixed reference point `g` (e.g. the region centre).
+  */
+final case class ErpCosts(g: Point) extends WedCosts[Point] {
+  def sub(a: Point, b: Point): Double = a.distTo(b)
+  def del(a: Point): Double = a.distTo(g)
+  def ins(b: Point): Double = b.distTo(g)
+}
+
 /** Standard distance-function instances over planar [[Point]]s. */
 object Dist {
 
-  val euclid: (Point, Point) => Double = (a, b) => a.distTo(b)
-
   /** Dynamic time warping (Yi et al. [29]) with Euclidean point costs. */
-  val dtw: DtwFn[Point] = DtwFn("DTW", euclid)
+  val dtw: DtwFn[Point] = DtwFn("DTW", Euclid)
 
   /** Discrete Fréchet distance (Alt & Godau [2]). */
-  val fd: FrechetFn[Point] = FrechetFn("FD", euclid)
+  val fd: FrechetFn[Point] = FrechetFn("FD", Euclid)
 
-  /** Edit distance on real sequences (Chen et al. [5]): unit indel costs,
-    * substitution free iff the points are within `eps`.
-    */
-  def edr(eps: Double): WedFn[Point] = WedFn("EDR", new WedCosts[Point] {
-    def sub(a: Point, b: Point): Double = if (a.distTo(b) <= eps) 0.0 else 1.0
-    def del(a: Point): Double = 1.0
-    def ins(b: Point): Double = 1.0
-  })
+  /** Edit distance on real sequences (Chen et al. [5]). */
+  def edr(eps: Double): WedFn[Point] = WedFn("EDR", EdrCosts(eps))
 
-  /** Edit distance with real penalty (Chen & Ng [4]): indel cost = distance
-    * to a fixed reference point `g` (e.g. the region centre).
-    */
-  def erp(g: Point): WedFn[Point] = WedFn("ERP", new WedCosts[Point] {
-    def sub(a: Point, b: Point): Double = a.distTo(b)
-    def del(a: Point): Double = a.distTo(g)
-    def ins(b: Point): Double = b.distTo(g)
-  })
+  /** Edit distance with real penalty (Chen & Ng [4]). */
+  def erp(g: Point): WedFn[Point] = WedFn("ERP", ErpCosts(g))
 
   /** Unit-cost WED over any element type with equality semantics — the cost
     * model of the paper's worked examples (Figure 4/5).

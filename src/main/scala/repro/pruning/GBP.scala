@@ -40,20 +40,22 @@ object GBP {
 
   /** `close(τq, τd)` — number of query points close to the data trajectory.
     * `d` is any indexed sequence, so an array is wrapped without a copy.
+    * A query cell lies in the 3×3 block of a data cell iff that data cell
+    * lies in the query cell's block, so the count probes each query cell's
+    * block against the trajectory's sorted cells.
     */
   def closeCount(qCells: Array[Long], d: collection.IndexedSeq[Point], eps: Double): Int = {
-    val dilated = new java.util.HashSet[java.lang.Long]()
+    val cells = new Array[Long](d.length)
     var j = 0
-    while (j < d.length) {
-      val cs = dilate(cell(d(j), eps))
-      var k = 0
-      while (k < 9) { dilated.add(cs(k)); k += 1 }
-      j += 1
-    }
+    while (j < d.length) { cells(j) = cell(d(j), eps); j += 1 }
+    java.util.Arrays.sort(cells)
     var cnt = 0
     var i = 0
     while (i < qCells.length) {
-      if (dilated.contains(qCells(i))) cnt += 1
+      val block = dilate(qCells(i))
+      var k = 0
+      while (k < 9 && java.util.Arrays.binarySearch(cells, block(k)) < 0) k += 1
+      if (k < 9) cnt += 1
       i += 1
     }
     cnt

@@ -2,7 +2,9 @@ package repro.pruning
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.eval.Workloads
 
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 /** GBP / KPF: soundness of the lower bounds (Theorem B.1), grid semantics,
@@ -142,6 +144,49 @@ class PruningSpec extends AnyFunSuite {
     val large = GBP.closeCount(GBP.queryCells(q, 0.8), d, 0.8)
     assert(large >= small)
   }
+
+  test("GBP close count equals the HashSet-of-dilated-cells count") {
+    val r = new Random(12)
+    for (_ <- 0 until 400) {
+      val eps = Seq(0.05, 0.3, 2.0)(r.nextInt(3))
+      val scale = Seq(0.5, 5.0, 1e10)(r.nextInt(3)) // 1e10 / 0.05 overflows the 32-bit cell halves
+      val shift = if (r.nextBoolean()) 0.0 else -scale / 2
+      def pts(n: Int) = TestGen.randPoints(r, n, scale).map(p => Point(p.x + shift, p.y + shift)).toArray
+      val d = pts(1 + r.nextInt(120))
+      // Half the time the query is a perturbed part of d, so counts are neither 0 nor m.
+      val q = if (r.nextBoolean()) pts(1 + r.nextInt(30))
+              else d.take(1 + r.nextInt(d.length)).map(p => Point(p.x + r.nextGaussian() * eps, p.y + r.nextGaussian() * eps))
+      val qc = GBP.queryCells(q, eps)
+      assert(GBP.closeCount(qc, d, eps) == ScanOracles.closeCount(qc, d, eps), s"eps=$eps scale=$scale")
+    }
+  }
+
+  // --- Grid-indexed KPF decides as the scan on Beijing-sized inputs ---
+  for (fn <- Workloads.distFns(Workloads.beijing))
+    test(s"grid KPF keeps the scan gate's hits and stats on Beijing trajectories [${fn.name}]") {
+      val spec = Workloads.beijing
+      val db = Workloads.dataLocal(spec).take(10).map(t => (t.id, t.points))
+      val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
+      val search = (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn)
+      val searchArrays = (a: Array[Point], b: Array[Point]) =>
+        CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn)
+      var kpfPruned = 0
+      for (q <- Workloads.queries(spec);
+           params <- Seq(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false),
+                         Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05));
+           k <- Seq(1, 3)) {
+        assert(q.length <= 200 && db.forall(_._2.length <= 3000))
+        val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
+        val got =
+          if (k == 1) Pruner.search(q, db, fn, params, searchArrays, gotStats).toArray
+          else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
+        val want = TopK.search(q.toIndexedSeq, wrapped, k, search, ScanOracles.gate(q, fn, params, wantStats))
+        assert(got.toSeq == want.toSeq, s"k=$k params=$params")
+        assert(gotStats == wantStats, s"k=$k params=$params")
+        kpfPruned += wantStats.kpfPruned
+      }
+      assert(kpfPruned > 0, "KPF never pruned")
+    }
 
   // --- Algorithm 3 pipeline exactness under safe parameters ---
   for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.erp(Point(0.5, 0.5))); seed <- 0 until 6)
