@@ -25,10 +25,6 @@ import repro.core._
   */
 object SplitSearch {
 
-  private def exactDist[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T],
-                           s: Int, t: Int): Double =
-    FullDist.dist(q, d.slice(s - 1, t), fn)
-
   /** POS: prefix-only greedy split scan. */
   def pos[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): SubtrajResult = {
     require(q.nonEmpty && d.nonEmpty, "POS requires non-empty trajectories")
@@ -43,14 +39,14 @@ object SplitSearch {
       if (cur < bestD) { bestD = cur; bestS = s; bestT = t }
       // O(1) split signal: extension got worse and the scan point itself is a
       // promising restart anchor for q's head.
-      if (t < n && cur >= prev && headCost(q, d(t), fn) * q.length < cur) {
+      if (t < n && cur >= prev && fn.sub(q.head, d(t)) * q.length < cur) {
         s = t + 1
         dp.reset()
         prev = Double.PositiveInfinity
       } else prev = cur
       t += 1
     }
-    SubtrajResult(bestS, bestT, exactDist(q, d, fn, bestS, bestT))
+    SubtrajResult(bestS, bestT, FullDist.dist(q, d.slice(bestS - 1, bestT), fn))
   }
 
   /** PSS: beam of two candidate segments plus suffix-distance guidance. */
@@ -73,7 +69,7 @@ object SplitSearch {
         b.cur = b.dp.extend(d(t - 1))
         if (b.cur < bestD) { bestD = b.cur; bestS = b.s; bestT = t }
         if (b.cur < a.cur) { a = b; b = null } // restart took over
-        else if (b.cur > a.cur + headCost(q, d(t - 1), fn) * q.length) b = null
+        else if (b.cur > a.cur + fn.sub(q.head, d(t - 1)) * q.length) b = null
       }
       // Suffix-guided split: if what remains after t is closer to q than the
       // remainder seen from the incumbent start, spawn a restart candidate.
@@ -82,14 +78,7 @@ object SplitSearch {
       }
       t += 1
     }
-    SubtrajResult(bestS, bestT, exactDist(q, d, fn, bestS, bestT))
-  }
-
-  /** `sub(q[1], p)` — the O(1) restart-anchor signal. */
-  private def headCost[T](q: IndexedSeq[T], p: T, fn: DistFn[T]): Double = fn match {
-    case WedFn(_, c)       => c.sub(q.head, p)
-    case DtwFn(_, sub)     => sub(q.head, p)
-    case FrechetFn(_, sub) => sub(q.head, p)
+    SubtrajResult(bestS, bestT, FullDist.dist(q, d.slice(bestS - 1, bestT), fn))
   }
 
   /** `suffix(t) = dist(q, d[t:n])` for all t, computed in one backward

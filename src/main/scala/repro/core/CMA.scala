@@ -5,7 +5,6 @@ package repro.core
   */
 final case class SubtrajResult(start: Int, end: Int, dist: Double) {
   require(start >= 1 && end >= start, s"invalid interval [$start,$end]")
-  def length: Int = end - start + 1
 }
 
 /** Conversion-Matching Algorithm (paper §4–§5): exact similar-subtrajectory

@@ -23,13 +23,23 @@ trait WedCosts[T] extends Serializable {
   *   - [[DtwFn]]     — Eq. 8 (delete/insert cost = substitution with the match)
   *   - [[FrechetFn]] — Eq. 9 (bottleneck max instead of sum)
   */
-sealed trait DistFn[T] extends Serializable { def name: String }
+sealed trait DistFn[T] extends Serializable {
+  def name: String
+  /** Cost of matching (substituting) `a` with `b`. */
+  def sub(a: T, b: T): Double
+}
 
-final case class WedFn[T](name: String, costs: WedCosts[T]) extends DistFn[T]
+final case class WedFn[T](name: String, costs: WedCosts[T]) extends DistFn[T] {
+  def sub(a: T, b: T): Double = costs.sub(a, b)
+}
 
-final case class DtwFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T]
+final case class DtwFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T] {
+  def sub(a: T, b: T): Double = subFn(a, b)
+}
 
-final case class FrechetFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T]
+final case class FrechetFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T] {
+  def sub(a: T, b: T): Double = subFn(a, b)
+}
 
 /** Euclidean point cost `a.distTo(b)`, the sub-cost of DTW and FD. A named
   * object, so `repro.pruning.KPF` can recognise it by type and index the
@@ -71,24 +81,4 @@ object Dist {
 
   /** Edit distance with real penalty (Chen & Ng [4]). */
   def erp(g: Point): WedFn[Point] = WedFn("ERP", ErpCosts(g))
-
-  /** Unit-cost WED over any element type with equality semantics — the cost
-    * model of the paper's worked examples (Figure 4/5).
-    */
-  def wedUnit[T]: WedFn[T] = WedFn("WED", new WedCosts[T] {
-    def sub(a: T, b: T): Double = if (a == b) 0.0 else 1.0
-    def del(a: T): Double = 1.0
-    def ins(b: T): Double = 1.0
-  })
-
-  /** WED with arbitrary per-element cost tables — used by tests to stress the
-    * framework with non-uniform (but triangle-respecting) costs.
-    */
-  def wedCustom[T](nm: String, subF: (T, T) => Double,
-                   delF: T => Double, insF: T => Double): WedFn[T] =
-    WedFn(nm, new WedCosts[T] {
-      def sub(a: T, b: T): Double = subF(a, b)
-      def del(a: T): Double = delF(a)
-      def ins(b: T): Double = insF(b)
-    })
 }

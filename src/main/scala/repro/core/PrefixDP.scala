@@ -20,15 +20,13 @@ sealed trait PrefixDP[T] {
   def dist: Double
   /** Number of points in the current segment. */
   def len: Int
-  /** Deep copy (PSS keeps a small beam of candidate segments alive). */
-  def snapshot(): PrefixDP[T]
 }
 
 object PrefixDP {
   def apply[T](q: IndexedSeq[T], fn: DistFn[T]): PrefixDP[T] = fn match {
     case WedFn(_, c)        => new WedPrefixDP(q, c)
-    case DtwFn(_, sub)      => new DtwPrefixDP(q, sub)
-    case FrechetFn(_, sub)  => new FrechetPrefixDP(q, sub)
+    case DtwFn(_, sub)      => new WarpPrefixDP(q, sub, frechet = false)
+    case FrechetFn(_, sub)  => new WarpPrefixDP(q, sub, frechet = true)
   }
 
   private final class WedPrefixDP[T](q: IndexedSeq[T], c: WedCosts[T]) extends PrefixDP[T] {
@@ -67,14 +65,14 @@ object PrefixDP {
 
     def dist: Double = col(m)
     def len: Int = n
-    def snapshot(): PrefixDP[T] = {
-      val s = new WedPrefixDP(q, c)
-      System.arraycopy(col, 0, s.col, 0, m + 1); s.n = n
-      s
-    }
   }
 
-  private final class DtwPrefixDP[T](q: IndexedSeq[T], sub: (T, T) => Double) extends PrefixDP[T] {
+  /** Eq. 3 (DTW, `frechet = false`) and discrete Fréchet (`frechet = true`):
+    * both take `min{col(x), col(x-1), nxt(x-1)}`; DTW adds `sub`, FD takes
+    * `max{·, sub}`.
+    */
+  private final class WarpPrefixDP[T](q: IndexedSeq[T], sub: (T, T) => Double,
+                                      frechet: Boolean) extends PrefixDP[T] {
     private val m = q.length
     private var col = new Array[Double](m + 1)
     private var nxt = new Array[Double](m + 1)
@@ -83,20 +81,23 @@ object PrefixDP {
 
     def reset(): Unit = { java.util.Arrays.fill(col, Double.PositiveInfinity); n = 0 }
 
+    private def combine(acc: Double, s: Double): Double =
+      if (frechet) math.max(acc, s) else acc + s
+
     def extend(p: T): Double = {
       if (n == 0) {
-        // dtw(q[1:x], d[1:1]) = sum_k sub(q[k], p)  (Eq. 3 base case)
+        // dist(q[1:x], d[1:1]) combines sub(q[k], p) over k <= x (Eq. 3 base case)
         col(1) = sub(q(0), p)
         var x = 2
-        while (x <= m) { col(x) = col(x - 1) + sub(q(x - 1), p); x += 1 }
+        while (x <= m) { col(x) = combine(col(x - 1), sub(q(x - 1), p)); x += 1 }
       } else {
-        nxt(1) = col(1) + sub(q(0), p)
+        nxt(1) = combine(col(1), sub(q(0), p))
         var x = 2
         while (x <= m) {
           var best = col(x)
           if (col(x - 1) < best) best = col(x - 1)
           if (nxt(x - 1) < best) best = nxt(x - 1)
-          nxt(x) = best + sub(q(x - 1), p)
+          nxt(x) = combine(best, sub(q(x - 1), p))
           x += 1
         }
         val t = col; col = nxt; nxt = t
@@ -107,49 +108,5 @@ object PrefixDP {
 
     def dist: Double = if (n == 0) Double.PositiveInfinity else col(m)
     def len: Int = n
-    def snapshot(): PrefixDP[T] = {
-      val s = new DtwPrefixDP(q, sub)
-      System.arraycopy(col, 0, s.col, 0, m + 1); s.n = n
-      s
-    }
-  }
-
-  private final class FrechetPrefixDP[T](q: IndexedSeq[T], sub: (T, T) => Double) extends PrefixDP[T] {
-    private val m = q.length
-    private var col = new Array[Double](m + 1)
-    private var nxt = new Array[Double](m + 1)
-    private var n   = 0
-    reset()
-
-    def reset(): Unit = { java.util.Arrays.fill(col, Double.PositiveInfinity); n = 0 }
-
-    def extend(p: T): Double = {
-      if (n == 0) {
-        col(1) = sub(q(0), p)
-        var x = 2
-        while (x <= m) { col(x) = math.max(col(x - 1), sub(q(x - 1), p)); x += 1 }
-      } else {
-        nxt(1) = math.max(col(1), sub(q(0), p))
-        var x = 2
-        while (x <= m) {
-          var best = col(x)
-          if (col(x - 1) < best) best = col(x - 1)
-          if (nxt(x - 1) < best) best = nxt(x - 1)
-          nxt(x) = math.max(best, sub(q(x - 1), p))
-          x += 1
-        }
-        val t = col; col = nxt; nxt = t
-      }
-      n += 1
-      col(m)
-    }
-
-    def dist: Double = if (n == 0) Double.PositiveInfinity else col(m)
-    def len: Int = n
-    def snapshot(): PrefixDP[T] = {
-      val s = new FrechetPrefixDP(q, sub)
-      System.arraycopy(col, 0, s.col, 0, m + 1); s.n = n
-      s
-    }
   }
 }

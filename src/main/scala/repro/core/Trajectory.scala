@@ -21,11 +21,6 @@ final case class Traj(id: Long, xs: Array[Double], ys: Array[Double]) {
   def points: Array[Point] = Array.tabulate(xs.length)(k => Point(xs(k), ys(k)))
 }
 
-object Traj {
-  def fromPoints(id: Long, pts: Seq[Point]): Traj =
-    Traj(id, pts.map(_.x).toArray, pts.map(_.y).toArray)
-}
-
 /** Parameters of the random-walk trajectory generator (see DESIGN.md §5 for
   * how these stand in for the paper's Porto / Xi'an / Beijing datasets).
   *

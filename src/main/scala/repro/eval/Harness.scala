@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.baselines.rl.RLS
 import repro.core._
@@ -9,6 +9,25 @@ import repro.spark.SparkSearch
 
 import scala.collection.immutable.ArraySeq
 
+/** The search algorithms of Tables 2/3, each carrying the name the tables
+  * print. `Harness.searcher` maps each to its pairwise search.
+  */
+sealed abstract class Algo(val name: String) extends Serializable
+
+object Algo {
+  case object POS     extends Algo("POS")
+  case object PSS     extends Algo("PSS")
+  case object RLS     extends Algo("RLS")
+  case object RLSSkip extends Algo("RLS-Skip")
+  case object CMA     extends Algo("CMA")
+  case object ExactS  extends Algo("ExactS")
+  case object Spring  extends Algo("Spring")
+  case object GB      extends Algo("GB")
+
+  /** Every algorithm, in the paper's Table 2/3 order. */
+  val all: Seq[Algo] = Seq(POS, PSS, RLS, RLSSkip, CMA, ExactS, Spring, GB)
+}
+
 /** Shared experiment harness for the paper's evaluation tables. Each
   * `tableN` method runs the experiment distributed over trajectories with
   * Spark and returns printable rows; `bench/` suites assert on them and
@@ -16,40 +35,33 @@ import scala.collection.immutable.ArraySeq
   */
 object Harness {
 
-  /** Algorithms of Tables 2/3, in paper order. Spring is DTW-only and GB is
-    * FD-only (paper §3.2/§3.3).
-    */
-  val AllAlgos: Seq[String] = Seq("POS", "PSS", "RLS", "RLS-Skip", "CMA", "ExactS", "Spring", "GB")
-
-  def applicable(algo: String, fn: DistFn[Point]): Boolean = algo match {
-    case "Spring" => fn.isInstanceOf[DtwFn[_]]
-    case "GB"     => fn.isInstanceOf[FrechetFn[_]]
-    case _        => true
-  }
+  /** A pairwise search: the best subtrajectory of the data for the query. */
+  type Search = (IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult
 
   /** Per-(dataset, fn) trained RLS policies: (plain, skip). */
-  def trainPolicies(spec: DatasetSpec, fns: Seq[DistFn[Point]],
-                    nPairs: Int = 8): Map[String, (RLS.Policy, RLS.Policy)] = {
-    val pairs = Workloads.trainingPairs(spec, nPairs)
+  def trainPolicies(spec: DatasetSpec, fns: Seq[DistFn[Point]]): Map[String, (RLS.Policy, RLS.Policy)] = {
+    val pairs = Workloads.trainingPairs(spec, nPairs = 8)
     fns.map { fn =>
       fn.name -> (RLS.train(pairs, fn, skip = false, seed = spec.seed),
                   RLS.train(pairs, fn, skip = true,  seed = spec.seed + 1))
     }.toMap
   }
 
-  /** Dispatch an algorithm name to a pairwise search function. */
-  def searcher(algo: String, fn: DistFn[Point],
-               policies: Map[String, (RLS.Policy, RLS.Policy)]):
-      (IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult = algo match {
-    case "CMA"      => (q, d) => CMA.search(q, d, fn)
-    case "ExactS"   => (q, d) => ExactS.search(q, d, fn)
-    case "Spring"   => (q, d) => Spring.search(q, d, fn.asInstanceOf[DtwFn[Point]])
-    case "GB"       => (q, d) => GB.search(q, d, fn.asInstanceOf[FrechetFn[Point]])
-    case "POS"      => (q, d) => SplitSearch.pos(q, d, fn)
-    case "PSS"      => (q, d) => SplitSearch.pss(q, d, fn)
-    case "RLS"      => (q, d) => RLS.search(q, d, fn, policies(fn.name)._1)
-    case "RLS-Skip" => (q, d) => RLS.search(q, d, fn, policies(fn.name)._2)
-    case other      => throw new IllegalArgumentException(s"unknown algorithm $other")
+  /** `algo`'s pairwise search under `fn`, or `None` where the paper does not
+    * run it: Spring is DTW-only and GB is FD-only (paper §3.2/§3.3). The RLS
+    * variants read `fn`'s policies from `policies`.
+    */
+  def searcher(algo: Algo, fn: DistFn[Point],
+               policies: Map[String, (RLS.Policy, RLS.Policy)]): Option[Search] = (algo, fn) match {
+    case (Algo.POS, _)                    => Some(SplitSearch.pos(_, _, fn))
+    case (Algo.PSS, _)                    => Some(SplitSearch.pss(_, _, fn))
+    case (Algo.RLS, _)                    => Some(RLS.search(_, _, fn, policies(fn.name)._1))
+    case (Algo.RLSSkip, _)                => Some(RLS.search(_, _, fn, policies(fn.name)._2))
+    case (Algo.CMA, _)                    => Some(CMA.search(_, _, fn))
+    case (Algo.ExactS, _)                 => Some(ExactS.search(_, _, fn))
+    case (Algo.Spring, dtw @ DtwFn(_, _)) => Some(Spring.search(_, _, dtw))
+    case (Algo.GB, fd @ FrechetFn(_, _))  => Some(GB.search(_, _, fd))
+    case (Algo.Spring | Algo.GB, _)       => None
   }
 
   // ------------------------------------------------------------------
@@ -58,9 +70,6 @@ object Harness {
 
   final case class Table2Row(dataset: String, fn: String, algo: String,
                              ar: Double, mr: Double, rrPct: Double)
-
-  final case class MetricRec(dataset: String, fn: String, algo: String,
-                             ar: Double, rank: Double, rr: Double)
 
   /** AR/MR/RR of every applicable algorithm for each (dataset, fn), averaged
     * over all (query, data-trajectory) pairs. The all-subtrajectory distance
@@ -75,8 +84,6 @@ object Harness {
       val policies = trainPolicies(spec, fns)
       val bcQ      = spark.sparkContext.broadcast(queries)
       val bcP      = spark.sparkContext.broadcast(policies)
-      val specName = spec.name
-      val algos    = AllAlgos
 
       val recs = Workloads.data(spark, spec).mapPartitions { it =>
         val qs  = bcQ.value
@@ -87,20 +94,19 @@ object Harness {
             val q: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(qArr)
             fns.iterator.flatMap { fn =>
               val all = ExactS.allDistances(q, d, fn)
-              algos.iterator.filter(applicable(_, fn)).map { algo =>
-                val found = searcher(algo, fn, pol)(q, d)
-                val ev = Metrics.evaluate(found, all)
-                MetricRec(specName, fn.name, algo, ev.ar, ev.rank, ev.rrPct)
-              }
+              Algo.all.iterator.flatMap(a => searcher(a, fn, pol).map { search =>
+                (fn.name, a.name, Metrics.evaluate(search(q, d), all))
+              })
             }
           }
         }
       }.collect()
 
-      for (fn <- fns; algo <- algos if applicable(algo, fn)) yield {
-        val sel = recs.filter(r => r.fn == fn.name && r.algo == algo)
-        val agg = Metrics.aggregate(sel.map(r => Metrics.PairEval(r.ar, r.rank, r.rr)).toSeq)
-        Table2Row(specName, fn.name, algo, agg.ar, agg.mr, agg.rrPct)
+      for (fn <- fns; algo <- Algo.all if searcher(algo, fn, policies).isDefined) yield {
+        val agg = Metrics.aggregate(recs.collect {
+          case (f, a, ev) if f == fn.name && a == algo.name => ev
+        }.toSeq)
+        Table2Row(spec.name, fn.name, algo.name, agg.ar, agg.mr, agg.rrPct)
       }
     }
   }
@@ -145,24 +151,23 @@ object Harness {
       val q0       = ArraySeq.unsafeWrapArray(queries.head)
       val sample   = Seq(spec.traj(0), spec.traj(1)).map(t => ArraySeq.unsafeWrapArray(t.points))
 
-      val rows = for (fn <- fns; algo <- AllAlgos if applicable(algo, fn)) yield {
+      val rows = for (fn <- fns; algo <- Algo.all; sLocal <- searcher(algo, fn, policies)) yield {
         // Projection guard (drives the paper's "overtime" entries). Best of
         // the two samples: an algorithm's first call runs cold (class
         // loading, interpreter), which the distributed run does not repeat.
-        val sLocal = searcher(algo, fn, policies)
         val perPair = sample.map { d =>
           val t0s = System.nanoTime(); sLocal(q0, d); (System.nanoTime() - t0s) / 1e9
         }.min
         val parallelism = math.min(spark.sparkContext.defaultParallelism, spec.nData)
         val projected = perPair * spec.nData * queries.length / parallelism
         if (projected > OvertimeBudgetSec) {
-          Table3Row(spec.name, fn.name, algo, projected, overtime = true, Double.NaN)
+          Table3Row(spec.name, fn.name, algo.name, projected, overtime = true, Double.NaN)
         } else {
           val t0 = System.nanoTime()
           val bestDist = queries.flatMap(q =>
             SparkSearch.topK(data, q, fn, 1, Some(params), Some(sLocal)).map(_.dist)
           ).minOption.getOrElse(Double.PositiveInfinity)
-          Table3Row(spec.name, fn.name, algo, (System.nanoTime() - t0) / 1e9,
+          Table3Row(spec.name, fn.name, algo.name, (System.nanoTime() - t0) / 1e9,
                     overtime = false, bestDist)
         }
       }
@@ -202,33 +207,40 @@ object Harness {
     val qSmall = trajOf(m, 1000)     // ExactS: m·n²/2 cells is already slow
     val qBig   = trajOf(m * 5, 1001) // linear algos: lift m·n above timer noise
 
-    val dtw = Dist.dtw; val fd = Dist.fd
-    val cases: Seq[(String, String, String, Int, (IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult)] = Seq(
-      ("CMA",    "DTW", "O(mn)",  8, (a, b) => CMA.search(a, b, dtw)),
-      ("CMA",    "FD",  "O(mn)",  8, (a, b) => CMA.search(a, b, fd)),
-      ("Spring", "DTW", "O(mn)",  8, (a, b) => Spring.search(a, b, dtw)),
-      ("GB",     "FD",  "O(mn)",  8, (a, b) => GB.search(a, b, fd)),
-      ("POS",    "DTW", "O(mn)",  8, (a, b) => SplitSearch.pos(a, b, dtw)),
-      ("ExactS", "DTW", "O(mn^2)", 1, (a, b) => ExactS.search(a, b, dtw)),
+    val cases = Seq[(Algo, DistFn[Point], String, Int)](
+      (Algo.CMA,    Dist.dtw, "O(mn)",   8),
+      (Algo.CMA,    Dist.fd,  "O(mn)",   8),
+      (Algo.Spring, Dist.dtw, "O(mn)",   8),
+      (Algo.GB,     Dist.fd,  "O(mn)",   8),
+      (Algo.POS,    Dist.dtw, "O(mn)",   8),
+      (Algo.ExactS, Dist.dtw, "O(mn^2)", 1),
     )
+    val runs = for ((algo, fn, claimed, scale) <- cases; run <- searcher(algo, fn, Map.empty))
+      yield (algo, fn, claimed, if (scale == 1) qSmall else qBig, sizes.map(_ * scale), run)
 
-    cases.map { case (algo, fnName, claimed, scale, run) =>
-      val q = if (scale == 1) qSmall else qBig
-      val times = sizes.map(_ * scale).map { n =>
-        val d = trajOf(n, 2000 + n)
-        run(q, d); run(q, d) // warm-up (JIT)
-        val samples = (0 until reps).map { _ =>
-          val t0 = System.nanoTime(); run(q, d); (System.nanoTime() - t0) / 1e9
-        }
-        (n, samples.min) // best-of: standard microbenchmark noise floor
+    // Warm every case at its largest size before any point is timed: the
+    // first case's smallest sizes otherwise run before the JIT has compiled
+    // its kernel, which bends the fitted exponent.
+    for ((_, _, _, q, ns, run) <- runs) { val d = trajOf(ns.max, 2000 + ns.max); run(q, d); run(q, d) }
+
+    runs.map { case (algo, fn, claimed, q, ns, run) =>
+      val ds = ns.map(n => trajOf(n, 2000 + n))
+      ds.foreach(run(q, _)) // warm-up (JIT)
+      // Best of `reps` rounds that each time every size once, so a slow spell
+      // (a JIT recompilation, a busy host) slows all sizes instead of one.
+      val best = Array.fill(ns.length)(Double.PositiveInfinity)
+      for (_ <- 0 until reps; k <- ds.indices) {
+        val t0 = System.nanoTime(); run(q, ds(k))
+        best(k) = math.min(best(k), (System.nanoTime() - t0) / 1e9)
       }
+      val times = ns.zip(best)
       // least-squares slope of log t vs log n
       val lx = times.map(t => math.log(t._1.toDouble))
       val ly = times.map(t => math.log(t._2))
       val mx = lx.sum / lx.size; val my = ly.sum / ly.size
       val slope = lx.zip(ly).map { case (a, b) => (a - mx) * (b - my) }.sum /
                   lx.map(a => (a - mx) * (a - mx)).sum
-      Table4Row(algo, fnName, claimed, slope, times)
+      Table4Row(algo.name, fn.name, claimed, slope, times)
     }
   }
 

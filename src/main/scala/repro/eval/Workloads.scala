@@ -72,15 +72,7 @@ object Workloads {
     */
   def queries(spec: DatasetSpec): Array[Array[Point]] = {
     val r = new Random(spec.seed * 31 + 5)
-    Array.tabulate(spec.nQueries) { k =>
-      val src = spec.traj((spec.nData + k).toLong)
-      val pts = src.points
-      val qLen = math.min(spec.qLenMin + r.nextInt(spec.qLenMax - spec.qLenMin + 1), pts.length)
-      val start = r.nextInt(pts.length - qLen + 1)
-      TrajGen.perturb(pts.slice(start, start + qLen),
-        sigma = spec.gen.stepKm * 0.25,
-        outlierProb = 0.12, outlierDist = spec.gen.stepKm * 6.0, r = r)
-    }
+    Array.tabulate(spec.nQueries)(k => perturbedWindow(spec, spec.traj((spec.nData + k).toLong).points, r))
   }
 
   /** Extra (query, data) pairs for RLS training, disjoint from evaluation
@@ -90,12 +82,16 @@ object Workloads {
     val r = new Random(spec.seed * 131 + 7)
     (0 until nPairs).map { k =>
       val d = spec.traj((spec.nData + spec.nQueries + 2 * k).toLong).points
-      val src = spec.traj((spec.nData + spec.nQueries + 2 * k + 1).toLong).points
-      val qLen = math.min(spec.qLenMin + r.nextInt(spec.qLenMax - spec.qLenMin + 1), src.length)
-      val start = r.nextInt(src.length - qLen + 1)
-      val q = TrajGen.perturb(src.slice(start, start + qLen),
-        spec.gen.stepKm * 0.25, 0.12, spec.gen.stepKm * 6.0, r)
+      val q = perturbedWindow(spec, spec.traj((spec.nData + spec.nQueries + 2 * k + 1).toLong).points, r)
       (q.toIndexedSeq, d.toIndexedSeq)
     }
+  }
+
+  /** A random query-length subsegment of `src`, perturbed by `TrajGen.perturb`. */
+  private def perturbedWindow(spec: DatasetSpec, src: Array[Point], r: Random): Array[Point] = {
+    val qLen = math.min(spec.qLenMin + r.nextInt(spec.qLenMax - spec.qLenMin + 1), src.length)
+    val start = r.nextInt(src.length - qLen + 1)
+    TrajGen.perturb(src.slice(start, start + qLen), sigma = spec.gen.stepKm * 0.25,
+      outlierProb = 0.12, outlierDist = spec.gen.stepKm * 6.0, r = r)
   }
 }

@@ -1,6 +1,6 @@
 package repro.network
 
-import repro.core.{Point, Traj, TrajGenSpec}
+import repro.core.{Traj, TrajGenSpec}
 
 import scala.util.Random
 
@@ -63,8 +63,4 @@ object NetTrajGen {
     }
     Traj(id, xs, ys)
   }
-
-  /** Points of a node walk (for the NetERP/NetEDR/SURS experiments). */
-  def nodePoints(net: RoadNetwork, nodes: Array[Int]): Array[Point] =
-    nodes.map(v => Point(net.xs(v), net.ys(v)))
 }

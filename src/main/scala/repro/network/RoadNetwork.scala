@@ -63,8 +63,6 @@ final class RoadNetwork(val xs: Array[Double], val ys: Array[Double],
     row(b)
   }
 
-  def nodePoint(v: Int): Point = Point(xs(v), ys(v))
-
   /** Nearest node to a planar point (linear scan — networks here are small). */
   def nearestNode(p: Point): Int = {
     var best = 0; var bd = Double.PositiveInfinity

@@ -16,11 +16,9 @@ object GBP {
     (cx << 32) ^ (cy & 0xffffffffL)
   }
 
-  private def unpack(c: Long): (Long, Long) = (c >> 32, (c << 32) >> 32)
-
   /** The 3×3 dilation `B(·)` of a cell. */
   def dilate(c: Long): Array[Long] = {
-    val (cx, cy) = unpack(c)
+    val cx = c >> 32; val cy = (c << 32) >> 32
     val out = new Array[Long](9)
     var k = 0
     var dx = -1L

@@ -32,32 +32,12 @@ object KPF {
   /** `minCost(q[i], τd)` for one query point under `fn`. */
   def pointMinCost[T](qi: T, d: IndexedSeq[T], fn: DistFn[T]): Double = {
     var minSub = Double.PositiveInfinity
+    var j = 0
+    while (j < d.length) { val s = fn.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
     fn match {
-      case WedFn(_, c) =>
-        var j = 0
-        while (j < d.length) { val s = c.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-        math.min(c.del(qi), minSub)
-      case DtwFn(_, sub) =>
-        var j = 0
-        while (j < d.length) { val s = sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-        minSub // DTW deletion cost = sub with the matched point, so min-sub is the bound
-      case FrechetFn(_, sub) =>
-        var j = 0
-        while (j < d.length) { val s = sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-        minSub
+      case WedFn(_, c) => math.min(c.del(qi), minSub)
+      case _           => minSub // DTW/FD deletion cost = sub with the matched point
     }
-  }
-
-  /** Exact (unsampled) lower bound `minCost(τq, τd)` of Theorem B.1. */
-  def lowerBound[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Double = fn match {
-    case FrechetFn(_, _) =>
-      var i = 0; var mx = 0.0
-      while (i < q.length) { val c = pointMinCost(q(i), d, fn); if (c > mx) mx = c; i += 1 }
-      mx
-    case _ =>
-      var i = 0; var sum = 0.0
-      while (i < q.length) { sum += pointMinCost(q(i), d, fn); i += 1 }
-      sum
   }
 
   /** Uniformly sampled key-point indices at rate `r` (at least one point). */

@@ -18,7 +18,7 @@ object Pruner {
     * `0.8e-4` is in degrees ≈ 0.9 km).
     */
   final case class Params(eps: Double, mu: Double = 0.4, r: Double = 0.05,
-                          useGBP: Boolean = true, useKPF: Boolean = true)
+                          useGBP: Boolean = true)
 
   final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0,
                          var kpfPruned: Int = 0, var searched: Int = 0)
@@ -37,7 +37,7 @@ object Pruner {
       stats.examined += 1
       if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
         stats.gbpPruned += 1; false
-      } else if (params.useKPF && kth < Double.PositiveInfinity &&
+      } else if (kth < Double.PositiveInfinity &&
                  KPF.estimate(qIdx, d, fn, params.r, stopAt = kth) >= kth) {
         stats.kpfPruned += 1; false
       } else {

@@ -28,7 +28,7 @@ class CMASpec extends AnyFunSuite {
     }
 
   // --- unit-cost WED on character sequences (paper Figure 4/5 setting) ---
-  private val wed = Dist.wedUnit[Char]
+  private val wed = TestGen.wedUnit[Char]
 
   test("WED: exact substring gives distance 0 at the right interval") {
     val r = CMA.search("abc".toIndexedSeq, "xxabcyy".toIndexedSeq, wed)

@@ -11,11 +11,11 @@ class FullDistSpec extends AnyFunSuite {
   for (fn <- TestGen.pointFns; seed <- 0 until 15)
     test(s"PrefixDP dist == reference matrix [${fn.name} seed=$seed]") {
       val (q, d) = TestGen.randPair(seed * 13 + 1)
-      TestGen.assertSameDist(FullDist.dist(q, d, fn), FullDist.reference.dist(q, d, fn))
+      TestGen.assertSameDist(FullDist.dist(q, d, fn), ReferenceDist.dist(q, d, fn))
     }
 
   // --- hand-computed WED (= Levenshtein with unit costs) ---
-  private val wed = Dist.wedUnit[Char]
+  private val wed = TestGen.wedUnit[Char]
   private def lev(a: String, b: String): Double =
     FullDist.dist(a.toIndexedSeq, b.toIndexedSeq, wed)
 

@@ -4,8 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** The incremental column machinery every O(mn) scan is built on: extending
   * point-by-point must equal computing the full distance from scratch at
-  * every prefix, reset must restore the empty state, and snapshots must be
-  * independent.
+  * every prefix, and reset must restore the empty state.
   */
 class PrefixDPSpec extends AnyFunSuite {
 
@@ -15,7 +14,7 @@ class PrefixDPSpec extends AnyFunSuite {
       val dp = PrefixDP(q, fn)
       for (j <- 1 to d.length) {
         val got = dp.extend(d(j - 1))
-        val want = FullDist.reference.dist(q, d.take(j), fn)
+        val want = ReferenceDist.dist(q, d.take(j), fn)
         TestGen.assertSameDist(got, want)
         assert(dp.len == j)
       }
@@ -40,21 +39,5 @@ class PrefixDPSpec extends AnyFunSuite {
       dp.reset()
       val second = d.map { p => dp.extend(p) }
       assert(first == second)
-    }
-
-  for (fn <- TestGen.pointFns)
-    test(s"snapshot() is an independent deep copy [${fn.name}]") {
-      val (q, d) = TestGen.randPair(9, mMax = 6, nMax = 12)
-      val dp = PrefixDP(q, fn)
-      d.take(d.length / 2).foreach(dp.extend)
-      val snap = dp.snapshot()
-      assert(snap.len == dp.len)
-      TestGen.assertSameDist(snap.dist, dp.dist)
-      // Diverge the original; the snapshot must still continue correctly.
-      dp.extend(Point(99, 99))
-      val rest = d.drop(d.length / 2)
-      var last = snap.dist
-      rest.foreach(p => last = snap.extend(p))
-      TestGen.assertSameDist(last, FullDist.dist(q, d, fn))
     }
 }

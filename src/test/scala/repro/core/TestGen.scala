@@ -38,14 +38,34 @@ object TestGen {
     Dist.fd,
     Dist.edr(0.3),
     Dist.erp(Point(0.5, 0.5)),
-    Dist.wedCustom[Point]("WEDC",
+    wedCustom[Point]("WEDC",
       subF = (a, b) => math.min(a.distTo(b), 1.9),
       delF = _ => 1.2,
       insF = _ => 0.8),
   )
 
   /** Character-sequence functions (the paper's worked-example setting). */
-  val charFns: Seq[DistFn[Char]] = Seq(Dist.wedUnit[Char])
+  val charFns: Seq[DistFn[Char]] = Seq(wedUnit[Char])
+
+  /** Unit-cost WED over any element type with equality semantics — the cost
+    * model of the paper's worked examples (Figure 4/5).
+    */
+  def wedUnit[T]: WedFn[T] = WedFn("WED", new WedCosts[T] {
+    def sub(a: T, b: T): Double = if (a == b) 0.0 else 1.0
+    def del(a: T): Double = 1.0
+    def ins(b: T): Double = 1.0
+  })
+
+  /** WED with arbitrary per-element cost tables, to stress the framework
+    * with non-uniform (but triangle-respecting) costs.
+    */
+  def wedCustom[T](nm: String, subF: (T, T) => Double,
+                   delF: T => Double, insF: T => Double): WedFn[T] =
+    WedFn(nm, new WedCosts[T] {
+      def sub(a: T, b: T): Double = subF(a, b)
+      def del(a: T): Double = delF(a)
+      def ins(b: T): Double = insF(b)
+    })
 
   def assertSameDist(a: Double, b: Double, tol: Double = 1e-9): Unit =
     assert(math.abs(a - b) <= tol || (a.isInfinite && b.isInfinite),

@@ -56,10 +56,4 @@ class TrajGenSuite extends AnyFunSuite {
     val p = TrajGen.perturb(pts, 0.0, 0.0, 1.0, new Random(1))
     for ((a, b) <- p.zip(pts)) TestGen.assertSameDist(a.distTo(b), 0.0)
   }
-
-  test("Traj round-trips between arrays and points") {
-    val t = TrajGen.gen(4L, spec, 2)
-    val back = Traj.fromPoints(t.id, t.points.toSeq)
-    assert(back.xs.toSeq == t.xs.toSeq && back.ys.toSeq == t.ys.toSeq)
-  }
 }

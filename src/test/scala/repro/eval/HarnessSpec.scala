@@ -34,7 +34,7 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
 
   test("table2 formatting includes every algorithm") {
     val s = Harness.formatTable2(t2)
-    for (a <- Harness.AllAlgos) assert(s.contains(a))
+    for (a <- Algo.all) assert(s.contains(a.name))
   }
 
   test("table3 on the tiny workload: every cell completes, exact algorithms agree") {
@@ -60,12 +60,14 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
     assert(cma.exponent < 1.7, s"CMA should be ~linear in n, got ${cma.exponent}")
   }
 
-  test("applicable() encodes the paper's per-function restrictions") {
+  test("searcher() encodes the paper's per-function restrictions") {
     import repro.core._
-    assert(Harness.applicable("Spring", Dist.dtw))
-    assert(!Harness.applicable("Spring", Dist.fd))
-    assert(Harness.applicable("GB", Dist.fd))
-    assert(!Harness.applicable("GB", Dist.dtw))
-    assert(Harness.applicable("CMA", Dist.edr(0.1)))
+    def runs(algo: Algo, fn: DistFn[Point]) = Harness.searcher(algo, fn, Map.empty).isDefined
+    val edr = Dist.edr(0.1); val erp = Dist.erp(Point(0, 0))
+    assert(runs(Algo.Spring, Dist.dtw))
+    for (fn <- Seq(edr, erp, Dist.fd)) assert(!runs(Algo.Spring, fn), fn.name)
+    assert(runs(Algo.GB, Dist.fd))
+    for (fn <- Seq(Dist.dtw, edr, erp)) assert(!runs(Algo.GB, fn), fn.name)
+    assert(runs(Algo.CMA, edr))
   }
 }

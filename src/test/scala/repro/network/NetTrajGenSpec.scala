@@ -1,7 +1,7 @@
 package repro.network
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Point, TrajGenSpec}
+import repro.core.TrajGenSpec
 
 /** Road-constrained trajectory generator (the taxi-data stand-in). */
 class NetTrajGenSpec extends AnyFunSuite {
@@ -49,13 +49,5 @@ class NetTrajGenSpec extends AnyFunSuite {
     val n2 = NetTrajGen.networkFor(spec, 9)
     assert(n1 eq n2)
     assert(n1.nNodes >= 4)
-  }
-
-  test("nodePoints maps node ids to their planar positions") {
-    val net = NetTrajGen.networkFor(spec, 9)
-    val w = net.walk(0, 5, 1)
-    val pts = NetTrajGen.nodePoints(net, w)
-    assert(pts.length == 5)
-    assert(pts.head == Point(net.xs(w.head), net.ys(w.head)))
   }
 }

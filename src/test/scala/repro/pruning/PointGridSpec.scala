@@ -129,6 +129,6 @@ class PointGridSpec extends AnyFunSuite {
       assert(KPF.gridMinCost(walk, fn).isEmpty, fn.name)
     assert(KPF.gridMinCost(walk, NetDist.surs(net)).isEmpty)
     assert(KPF.gridMinCost(d, TestGen.pointFns.last).isEmpty)
-    assert(KPF.gridMinCost("abc".toIndexedSeq, Dist.wedUnit[Char]).isEmpty)
+    assert(KPF.gridMinCost("abc".toIndexedSeq, TestGen.wedUnit[Char]).isEmpty)
   }
 }

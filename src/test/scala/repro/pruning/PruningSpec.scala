@@ -21,7 +21,7 @@ class PruningSpec extends AnyFunSuite {
   for (fn <- TestGen.pointFns; seed <- 0 until 10)
     test(s"KPF lower bound <= exact optimum [${fn.name} seed=$seed]") {
       val (q, d) = TestGen.randPair(seed * 61 + 17)
-      val lb = KPF.lowerBound(q, d, fn)
+      val lb = ScanOracles.lowerBound(q, d, fn)
       val opt = CMA.search(q, d, fn).dist
       assert(lb <= opt + 1e-9, s"lb=$lb opt=$opt")
     }
@@ -47,7 +47,7 @@ class PruningSpec extends AnyFunSuite {
   test("KPF estimate with r=1 equals the exact bound (sum-type)") {
     val (q, d) = TestGen.randPair(77)
     val fn = Dist.erp(Point(0.5, 0.5))
-    TestGen.assertSameDist(KPF.estimate(q, d, fn, 1.0), KPF.lowerBound(q, d, fn))
+    TestGen.assertSameDist(KPF.estimate(q, d, fn, 1.0), ScanOracles.lowerBound(q, d, fn))
   }
 
   // --- KPF early stop at the incumbent ---
@@ -78,7 +78,7 @@ class PruningSpec extends AnyFunSuite {
       stats.examined += 1
       if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
         stats.gbpPruned += 1; false
-      } else if (params.useKPF && kth < Double.PositiveInfinity &&
+      } else if (kth < Double.PositiveInfinity &&
                  KPF.estimate(q.toIndexedSeq, d, fn, params.r) >= kth) {
         stats.kpfPruned += 1; false
       } else {
@@ -193,7 +193,7 @@ class PruningSpec extends AnyFunSuite {
     test(s"pipeline with KPF-only (safe r=1) is exact [${fn.name} seed=$seed]") {
       val db = smallDb(seed + 40)
       val q = TestGen.randPoints(new Random(seed + 99), 6).toArray
-      val params = Pruner.Params(eps = 1.0, mu = 0.4, r = 1.0, useGBP = false, useKPF = true)
+      val params = Pruner.Params(eps = 1.0, mu = 0.4, r = 1.0, useGBP = false)
       val got = Pruner.search(q, db, fn, params,
         (a, b) => CMA.search(a, b, fn)).get
       val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.sorted

@@ -2,11 +2,24 @@ package repro.pruning
 
 import repro.core._
 
-/** Reference versions of the pruning bounds, kept as test oracles: the KPF
-  * estimate that scans every data point for every key point, and GBP's close
-  * count over a hash set of dilated data cells.
+/** Reference versions of the pruning bounds, kept as test oracles: the
+  * unsampled KPF bound, the KPF estimate that scans every data point for
+  * every key point, and GBP's close count over a hash set of dilated data
+  * cells.
   */
 object ScanOracles {
+
+  /** Exact (unsampled) lower bound `minCost(τq, τd)` of Theorem B.1. */
+  def lowerBound[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Double = fn match {
+    case FrechetFn(_, _) =>
+      var i = 0; var mx = 0.0
+      while (i < q.length) { val c = KPF.pointMinCost(q(i), d, fn); if (c > mx) mx = c; i += 1 }
+      mx
+    case _ =>
+      var i = 0; var sum = 0.0
+      while (i < q.length) { sum += KPF.pointMinCost(q(i), d, fn); i += 1 }
+      sum
+  }
 
   /** `KPF.estimate` with `KPF.pointMinCost` (an m·n scan) for every key point. */
   def estimate[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], r: Double,
@@ -43,7 +56,7 @@ object ScanOracles {
       stats.examined += 1
       if (params.useGBP && closeCount(qCells, d, params.eps) < params.mu * qCells.length) {
         stats.gbpPruned += 1; false
-      } else if (params.useKPF && kth < Double.PositiveInfinity &&
+      } else if (kth < Double.PositiveInfinity &&
                  estimate(q.toIndexedSeq, d, fn, params.r) >= kth) {
         stats.kpfPruned += 1; false
       } else {
