@@ -17,6 +17,14 @@ object TopK {
 
   private implicit val byDistDesc: Ordering[Hit] = Ordering.by[Hit, Double](_.dist)
 
+  /** Answer order: ascending distance, ties to the lower trajectory id. */
+  private val ranked: Ordering[Hit] = Ordering.by((h: Hit) => (h.dist, h.trajId))
+
+  /** The `k` first of `hits` in answer order, e.g. the global top-K of
+    * per-partition top-K lists.
+    */
+  def merge(hits: Array[Hit], k: Int): Array[Hit] = hits.sorted(ranked).take(k)
+
   /** K best hits (ascending distance), one per data trajectory, using
     * `search` for each trajectory that `gate` lets through (all of them by
     * default). A hit replaces the k-th best only when strictly closer.
@@ -34,7 +42,7 @@ object TopK {
         else if (r.dist < kth) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
       }
     }
-    heap.toArray.sortBy(h => (h.dist, h.trajId))
+    heap.toArray.sorted(ranked)
   }
 
   /** Convenience: top-K with CMA under `fn`. */

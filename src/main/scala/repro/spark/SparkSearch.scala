@@ -1,40 +1,56 @@
 package repro.spark
 
 import org.apache.spark.sql.Dataset
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.pruning.Pruner
 
 import scala.collection.immutable.ArraySeq
 
-/** Distributed SSS over a Spark `Dataset[Traj]` — the repro target's
-  * dataflow shape: the shared top-K loop (`TopK.search`, optionally behind
-  * Algorithm 3's GBP→KPF gate) runs inside `mapPartitions` over partitioned
-  * trajectory data, so only `K × partitions` rows reach the Catalyst
-  * `orderBy/limit` merge, which the tests check against DuckDB.
+/** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
+  * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
+  * every partition runs the shared top-K loop (`TopK.search`, optionally
+  * behind Algorithm 3's GBP→KPF gate) once per query of the batch, and the
+  * driver merges the at most `K × partitions` hits per query by
+  * `(dist, trajId)` (`TopK.merge`), the order `TopK.search` itself uses.
+  *
+  * The query path builds no Catalyst plan: `Dataset.rdd` is a lazy val, so
+  * the cached Dataset is planned once, on the first call, not once per
+  * query. Cache `data` before that first call, or its RDD reads the
+  * uncached plan for good.
   */
 object SparkSearch {
 
-  /** Global top-K hits for query `q` under `fn`: each partition keeps a
-    * local top-K of `searchOne` results (CMA by default) over the
-    * trajectories the `params` gate lets through (all of them by default),
-    * then the partition lists are merged by `(dist, trajId)`.
+  /** Global top-K hits for query `q` under `fn`: `topKBatch` with a batch
+    * of one.
     */
   def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int,
            params: Option[Pruner.Params] = None,
            searchOne: Option[(IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult] = None
-          ): Array[TopK.Hit] = {
-    import data.sparkSession.implicits._
+          ): Array[TopK.Hit] =
+    topKBatch(data, Array(q), fn, k, params, searchOne).head
+
+  /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
+    * one job: each partition keeps a local top-K of `searchOne` results (CMA
+    * by default) per query, over the trajectories that query's `params` gate
+    * lets through (all of them by default).
+    */
+  def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int,
+                params: Option[Pruner.Params] = None,
+                searchOne: Option[(IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult] = None
+               ): Array[Array[TopK.Hit]] = {
+    require(k >= 1, "k must be >= 1")
+    require(qs.nonEmpty, "the query batch must not be empty")
     val search = searchOne.getOrElse((a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn))
-    val locals = data.mapPartitions { it =>
-      val qs = ArraySeq.unsafeWrapArray(q)
-      val pairs = it.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])).toSeq
-      val hits = params match {
-        case Some(p) => TopK.search(qs, pairs, k, search, Pruner.gate(q, fn, p))
-        case None    => TopK.search(qs, pairs, k, search)
-      }
-      hits.iterator
-    }
-    locals.orderBy(col("dist").asc, col("trajId").asc).limit(k).collect()
+    val locals = data.rdd.mapPartitions { it =>
+      val trajs = it.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])).toVector
+      Iterator.single(qs.map { q =>
+        val qi = ArraySeq.unsafeWrapArray(q)
+        params match {
+          case Some(p) => TopK.search(qi, trajs, k, search, Pruner.gate(q, fn, p))
+          case None    => TopK.search(qi, trajs, k, search)
+        }
+      })
+    }.collect()
+    Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))
   }
 }

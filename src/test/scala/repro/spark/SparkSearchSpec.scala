@@ -12,15 +12,17 @@ import repro.pruning.{GBP, Pruner}
 import scala.collection.immutable.ArraySeq
 
 /** Distributed search: the Spark dataflow must equal the driver-side loop,
-  * with and without the pruning gate, and its DataFrame merge is checked
-  * against DuckDB via the Oracle (as is the GBP candidate set).
+  * with and without the pruning gate, a batch must equal its single
+  * queries, and the driver merge is checked against DuckDB via the Oracle
+  * (as is the GBP candidate set).
   */
 class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
   private lazy val spec  = Workloads.tiny
   private lazy val data  = Workloads.data(spark, spec).cache()
   private lazy val local = Workloads.dataLocal(spec)
-  private lazy val q     = Workloads.queries(spec).head
+  private lazy val qs    = Workloads.queries(spec)
+  private lazy val q     = qs.head
   private val fns        = Workloads.distFns(Workloads.tiny)
 
   private def localBest(fn: DistFn[Point]): Seq[(Long, SubtrajResult)] =
@@ -104,8 +106,66 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
       for ((g, w) <- got.zip(want)) TestGen.assertSameDist(g.dist, w.dist)
     }
 
+  test("k < 1 is rejected on the driver") {
+    assertThrows[IllegalArgumentException](SparkSearch.topK(data, q, Dist.dtw, 0))
+    assertThrows[IllegalArgumentException](SparkSearch.topKBatch(data, Array(q), Dist.dtw, 0))
+  }
+
+  test("an empty query batch is rejected on the driver") {
+    assertThrows[IllegalArgumentException](SparkSearch.topKBatch(data, Array.empty, Dist.dtw, 1))
+  }
+
+  test("ties at the k-th distance go to the lowest trajId, as on the driver") {
+    import spark.implicits._
+    // Twelve copies of one trajectory: every hit ties. Four partitions hold
+    // ids {0,4,8}, {1,5,9}, {2,6,10}, {3,7,11}, each in ascending order.
+    val copy = local.head
+    val ids = Seq(0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11).map(_.toLong)
+    val copies = spark.sparkContext.parallelize(ids.map(i => copy.copy(id = i)), 4).toDS()
+    assert(copies.rdd.glom().collect().map(_.map(_.id).toSeq).toSeq ==
+      ids.grouped(3).toSeq)
+    val driver = ids.sorted.map(i => (i, ArraySeq.unsafeWrapArray(copy.points): IndexedSeq[Point]))
+    for (k <- Seq(2, 5)) {
+      val got = SparkSearch.topK(copies, q, Dist.dtw, k)
+      val want = TopK.cma(ArraySeq.unsafeWrapArray(q), driver, k, Dist.dtw)
+      assert(got.map(_.trajId).toSeq == (0L until k.toLong))
+      assert(got.toSeq == want.toSeq)
+    }
+  }
+
+  test("distributed topK with empty partitions == driver-side topK") {
+    val spread = data.repartition(16)
+    val sizes = spread.rdd.mapPartitions(it => Iterator.single(it.size)).collect()
+    assert(sizes.length == 16 && sizes.contains(0) && sizes.sum == spec.nData)
+    val want = TopK.cma(ArraySeq.unsafeWrapArray(q),
+      local.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])), 3, Dist.dtw)
+    assert(SparkSearch.topK(spread, q, Dist.dtw, 3).toSeq == want.toSeq)
+  }
+
+  test("k > nData returns every trajectory's hit") {
+    val got = SparkSearch.topK(data, q, Dist.dtw, spec.nData + 5)
+    assert(got.length == spec.nData)
+    assert(got.map(_.trajId).sorted.toSeq == allHits(Dist.dtw).map(_.trajId).toSeq)
+  }
+
+  test("repeated calls on one Dataset give identical hits") {
+    val runs = Seq.fill(3)(SparkSearch.topK(data, q, Dist.erp(spec.erpCenter), 5).toSeq)
+    assert(runs.distinct.size == 1 && runs.head.length == 5)
+  }
+
+  // One job for the batch, one per query for the single calls: each query's
+  // per-partition loop and gate are the same, so the hits are too.
+  for (fn <- fns; k <- Seq(1, 3);
+       (mode, params) <- Seq("unpruned" -> None,
+         "safe gate" -> Some(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false))))
+    test(s"topKBatch == one topK per query [${fn.name} k=$k $mode]") {
+      val batch = SparkSearch.topKBatch(data, qs, fn, k, params)
+      assert(batch.length == qs.length)
+      assert(batch.map(_.toSeq).toSeq == qs.map(q => SparkSearch.topK(data, q, fn, k, params).toSeq).toSeq)
+    }
+
   // ------------------------------------------------------------------
-  // DuckDB oracle checks of the DataFrame logic
+  // DuckDB oracle checks of the driver merge and DataFrame logic
   // ------------------------------------------------------------------
 
   test("oracle: top-1 arg-min aggregation over per-trajectory hits") {
@@ -116,7 +176,7 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
       "hits" -> hits)
   }
 
-  test("oracle: top-K order-by/limit merge matches SQL ranking") {
+  test("oracle: top-K driver merge matches SQL ranking") {
     import spark.implicits._
     val hits = hitsTable(Dist.dtw)
     val k = 3
