@@ -10,7 +10,7 @@ import repro.eval.{Harness, Workloads}
 object Table3Job {
   def main(args: Array[String]): Unit = {
     // spark-submit supplies spark.master; fall back to local[*] for runMain.
-    val builder = SparkSession.builder
+    val builder = SparkSession.builder()
       .appName("repro-table3")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
     val spark = (if (sys.props.contains("spark.master")) builder

@@ -37,6 +37,7 @@ object RLS {
   /** One scan of `d` under `policy`; `learn != null` enables training updates. */
   private def run[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T],
                      policy: Policy, learn: Random, eps: Double): SubtrajResult = {
+    require(q.nonEmpty && d.nonEmpty, "RLS requires non-empty trajectories")
     val m = q.length; val n = d.length
     val nActions = if (policy.skip) 3 else 2
     val dp = PrefixDP(q, fn)
@@ -96,15 +97,13 @@ object RLS {
     var e = 0
     while (e < epochs) {
       val eps = 0.4 / (e + 1)
-      for ((q, d) <- pairs if q.nonEmpty && d.nonEmpty) run(q, d, fn, p, rnd, eps)
+      for ((q, d) <- pairs) run(q, d, fn, p, rnd, eps)
       e += 1
     }
     p
   }
 
   /** Greedy evaluation with a trained policy. */
-  def search[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], policy: Policy): SubtrajResult = {
-    require(q.nonEmpty && d.nonEmpty, "RLS requires non-empty trajectories")
+  def search[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], policy: Policy): SubtrajResult =
     run(q, d, fn, policy, null, 0.0)
-  }
 }

@@ -9,9 +9,10 @@ object TopK {
   /** A per-trajectory search hit. */
   final case class Hit(trajId: Long, start: Int, end: Int, dist: Double)
 
-  /** Decides whether a data trajectory is searched, given the current k-th
-    * best distance (`+inf` until k hits are held). Algorithm 3's GBP→KPF
-    * cascade is one (`repro.pruning.Pruner.gate`).
+  /** A `search` gate for trajectories held as `IndexedSeq[T]`: decides
+    * whether one is searched, given the current k-th best distance (`+inf`
+    * until k hits are held). Algorithm 3's GBP→KPF cascade is one
+    * (`repro.pruning.Pruner.gate`).
     */
   type Gate[T] = (IndexedSeq[T], Double) => Boolean
 
@@ -29,12 +30,12 @@ object TopK {
     * `search` for each trajectory that `gate` lets through (all of them by
     * default). A hit replaces the k-th best only when strictly closer.
     */
-  def search[T](q: IndexedSeq[T], data: Iterable[(Long, IndexedSeq[T])], k: Int,
-                search: (IndexedSeq[T], IndexedSeq[T]) => SubtrajResult,
-                gate: Gate[T] = (_: IndexedSeq[T], _: Double) => true): Array[Hit] = {
+  def search[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
+                   search: (Q, D) => SubtrajResult,
+                   gate: (D, Double) => Boolean = (_: D, _: Double) => true): Array[Hit] = {
     require(k >= 1, "k must be >= 1")
     val heap = new scala.collection.mutable.PriorityQueue[Hit]() // max-heap by dist
-    for ((id, d) <- data if d.nonEmpty) {
+    for ((id, d) <- data) {
       val kth = if (heap.size < k) Double.PositiveInfinity else heap.head.dist
       if (gate(d, kth)) {
         val r = search(q, d)

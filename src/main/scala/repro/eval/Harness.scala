@@ -76,40 +76,25 @@ object Harness {
     * matrix (ExactS's intermediate result) is computed once per (pair, fn)
     * and shared by all algorithms' rank metrics.
     */
-  def table2(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table2Row] = {
-    import spark.implicits._
+  def table2(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table2Row] =
     specs.flatMap { spec =>
       val fns      = Workloads.distFns(spec)
-      val queries  = Workloads.queries(spec)
+      val queries  = Workloads.queries(spec).map(ArraySeq.unsafeWrapArray(_))
       val policies = trainPolicies(spec, fns)
-      val bcQ      = spark.sparkContext.broadcast(queries)
-      val bcP      = spark.sparkContext.broadcast(policies)
+      // Keyed by fn index and algorithm (both equal after the trip through
+      // the executors); each group keeps partition order for its sums.
+      val evals = SparkSearch.eachPartition(Workloads.data(spark, spec)) { trajs =>
+        for ((_, d) <- trajs.iterator; q <- queries.iterator; (fn, f) <- fns.iterator.zipWithIndex;
+             all = ExactS.allDistances(q, d, fn);
+             algo <- Algo.all.iterator; search <- searcher(algo, fn, policies))
+          yield ((f, algo), Metrics.evaluate(search(q, d), all))
+      }.toSeq.groupMap(_._1)(_._2)
 
-      val recs = Workloads.data(spark, spec).mapPartitions { it =>
-        val qs  = bcQ.value
-        val pol = bcP.value
-        it.filter(_.length > 0).flatMap { t =>
-          val d: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(t.points)
-          qs.iterator.flatMap { qArr =>
-            val q: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(qArr)
-            fns.iterator.flatMap { fn =>
-              val all = ExactS.allDistances(q, d, fn)
-              Algo.all.iterator.flatMap(a => searcher(a, fn, pol).map { search =>
-                (fn.name, a.name, Metrics.evaluate(search(q, d), all))
-              })
-            }
-          }
-        }
-      }.collect()
-
-      for (fn <- fns; algo <- Algo.all if searcher(algo, fn, policies).isDefined) yield {
-        val agg = Metrics.aggregate(recs.collect {
-          case (f, a, ev) if f == fn.name && a == algo.name => ev
-        }.toSeq)
+      for ((fn, f) <- fns.zipWithIndex; algo <- Algo.all if searcher(algo, fn, policies).isDefined) yield {
+        val agg = Metrics.aggregate(evals.getOrElse((f, algo), Nil))
         Table2Row(spec.name, fn.name, algo.name, agg.ar, agg.mr, agg.rrPct)
       }
     }
-  }
 
   def formatTable2(rows: Seq[Table2Row]): String = {
     val sb = new StringBuilder

@@ -17,8 +17,9 @@ import repro.core._
   * answers `min_j sub(q[i], d[j])` with a [[PointGrid]] nearest-neighbour
   * query over `d`, built once per call, instead of scanning all n points.
   * The grid returns the scan's minimum bit for bit, so every estimate, and
-  * every pruning decision made from it, is the scan's. Every other function
-  * (NetERP, NetEDR, SURS, custom WED) scans.
+  * every pruning decision made from it, is the scan's. A custom WED scans.
+  * KPF is typed on `Point`, as is `Pruner.gate`, its one caller: the
+  * road-network functions never reach it.
   */
 object KPF {
 
@@ -30,7 +31,7 @@ object KPF {
   private val GridMinKeys = 4
 
   /** `minCost(q[i], τd)` for one query point under `fn`. */
-  def pointMinCost[T](qi: T, d: IndexedSeq[T], fn: DistFn[T]): Double = {
+  def pointMinCost(qi: Point, d: IndexedSeq[Point], fn: DistFn[Point]): Double = {
     var minSub = Double.PositiveInfinity
     var j = 0
     while (j < d.length) { val s = fn.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
@@ -52,11 +53,11 @@ object KPF {
     * partial value never decreases and `estimate(.., stopAt) >= stopAt`
     * exactly when the full estimate is, and below `stopAt` the two are equal.
     */
-  def estimate[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], r: Double,
-                  stopAt: Double = Double.PositiveInfinity): Double = {
+  def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
+               stopAt: Double = Double.PositiveInfinity): Double = {
     val idx = keyPointIdx(q.length, r)
     val minCost = (if (idx.length >= GridMinKeys) gridMinCost(d, fn) else None)
-      .getOrElse((qi: T) => pointMinCost(qi, d, fn))
+      .getOrElse((qi: Point) => pointMinCost(qi, d, fn))
     fn match {
       case FrechetFn(_, _) =>
         var mx = 0.0; var k = 0
@@ -78,16 +79,16 @@ object KPF {
     * for every other function and when `d` has a coordinate that is not
     * finite.
     */
-  private[pruning] def gridMinCost[T](d: IndexedSeq[T], fn: DistFn[T]): Option[T => Double] = {
-    def grid = PointGrid(d.asInstanceOf[IndexedSeq[Point]])
+  private[pruning] def gridMinCost(d: IndexedSeq[Point], fn: DistFn[Point]): Option[Point => Double] = {
+    def grid = PointGrid(d)
     fn match {
       case DtwFn(_, Euclid) | FrechetFn(_, Euclid) =>
-        grid.map(g => (qi: T) => { val p = qi.asInstanceOf[Point]; g.nearest(p.x, p.y) })
+        grid.map(g => p => g.nearest(p.x, p.y))
       case WedFn(_, c @ ErpCosts(_)) =>
-        grid.map(g => (qi: T) => { val p = qi.asInstanceOf[Point]; math.min(c.del(p), g.nearest(p.x, p.y)) })
+        grid.map(g => p => math.min(c.del(p), g.nearest(p.x, p.y)))
       case WedFn(_, EdrCosts(eps)) =>
         // The scan's min(del = 1, min_j sub) with sub in {0, 1}.
-        grid.map(g => (qi: T) => { val p = qi.asInstanceOf[Point]; if (g.within(p.x, p.y, eps)) 0.0 else 1.0 })
+        grid.map(g => p => if (g.within(p.x, p.y, eps)) 0.0 else 1.0)
       case _ => None
     }
   }

@@ -54,10 +54,8 @@ object Pruner {
              params: Params,
              searchOne: (Array[Point], Array[Point]) => SubtrajResult,
              stats: Stats = Stats()): Option[TopK.Hit] = {
-    val wrapped = data.view.map { case (id, d) => (id, ArraySeq.unsafeWrapArray(d)) }
-    // The loop hands `searchOne` back the wrappers made here.
-    TopK.search[Point](ArraySeq.unsafeWrapArray(q), wrapped, 1,
-      (_, d) => searchOne(q, d.asInstanceOf[ArraySeq.ofRef[Point]].unsafeArray),
-      gate(q, fn, params, stats)).headOption
+    val g = gate(q, fn, params, stats)
+    TopK.search(q, data, 1, searchOne,
+      (d: Array[Point], kth: Double) => g(ArraySeq.unsafeWrapArray(d), kth)).headOption
   }
 }

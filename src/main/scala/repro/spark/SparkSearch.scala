@@ -5,6 +5,7 @@ import repro.core._
 import repro.pruning.Pruner
 
 import scala.collection.immutable.ArraySeq
+import scala.reflect.ClassTag
 
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
@@ -19,6 +20,16 @@ import scala.collection.immutable.ArraySeq
   * uncached plan for good.
   */
 object SparkSearch {
+
+  /** One job that runs `f` once per partition of `data`, on that
+    * partition's trajectories as `(id, points)` in partition order, and
+    * collects what `f` returns, in partition order. Each trajectory's points
+    * are materialized once per job, however many queries `f` runs.
+    */
+  def eachPartition[A: ClassTag](data: Dataset[Traj])(f: Seq[(Long, IndexedSeq[Point])] => IterableOnce[A]): Array[A] =
+    data.rdd.mapPartitions { it =>
+      f(it.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])).toVector).iterator
+    }.collect()
 
   /** Global top-K hits for query `q` under `fn`: `topKBatch` with a batch
     * of one.
@@ -40,9 +51,9 @@ object SparkSearch {
                ): Array[Array[TopK.Hit]] = {
     require(k >= 1, "k must be >= 1")
     require(qs.nonEmpty, "the query batch must not be empty")
+    require(qs.forall(_.nonEmpty), "queries must not be empty")
     val search = searchOne.getOrElse((a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn))
-    val locals = data.rdd.mapPartitions { it =>
-      val trajs = it.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])).toVector
+    val locals = eachPartition(data) { trajs =>
       Iterator.single(qs.map { q =>
         val qi = ArraySeq.unsafeWrapArray(q)
         params match {
@@ -50,7 +61,7 @@ object SparkSearch {
           case None    => TopK.search(qi, trajs, k, search)
         }
       })
-    }.collect()
+    }
     Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))
   }
 }

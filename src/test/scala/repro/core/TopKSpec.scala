@@ -64,9 +64,10 @@ class TopKSpec extends AnyFunSuite {
     }
   }
 
-  test("topK skips empty trajectories") {
+  test("topK rejects an empty data trajectory") {
     val data = Seq((0L, IndexedSeq.empty[Point]), (1L, TestGen.randPoints(new Random(2), 6)))
-    val got = TopK.cma(TestGen.randPoints(new Random(3), 3), data, 5, Dist.dtw)
-    assert(got.length == 1 && got.head.trajId == 1L)
+    intercept[IllegalArgumentException] {
+      TopK.cma(TestGen.randPoints(new Random(3), 3), data, 5, Dist.dtw)
+    }
   }
 }

@@ -2,6 +2,9 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.baselines.ExactS
+
+import scala.collection.immutable.ArraySeq
 
 /** End-to-end smoke of the table harnesses on the tiny workload (the bench
   * project runs the real paper-scale workloads).
@@ -30,6 +33,21 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
       assert(r.mr >= 1.0, s"$r")
       assert(r.rrPct >= 0.0, s"$r")
     }
+  }
+
+  test("table2 equals a driver-side loop over every pair, function and algorithm") {
+    val spec = Workloads.tiny
+    val fns = Workloads.distFns(spec)
+    val policies = Harness.trainPolicies(spec, fns)
+    val data = Workloads.dataLocal(spec).toSeq.map(t => ArraySeq.unsafeWrapArray(t.points))
+    val queries = Workloads.queries(spec).toSeq.map(ArraySeq.unsafeWrapArray(_))
+    val want = for (fn <- fns; algo <- Algo.all; search <- Harness.searcher(algo, fn, policies)) yield {
+      val agg = Metrics.aggregate(for (d <- data; q <- queries)
+        yield Metrics.evaluate(search(q, d), ExactS.allDistances(q, d, fn)))
+      Harness.Table2Row(spec.name, fn.name, algo.name, agg.ar, agg.mr, agg.rrPct)
+    }
+    assert(t2.length == want.length)
+    for ((g, w) <- t2.zip(want)) assert(g == w) // every double compared with ==
   }
 
   test("table2 formatting includes every algorithm") {

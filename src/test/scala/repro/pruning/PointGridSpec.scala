@@ -3,7 +3,6 @@ package repro.pruning
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.eval.Workloads
-import repro.network.{NetDist, RoadNetwork}
 
 import scala.util.Random
 
@@ -112,7 +111,7 @@ class PointGridSpec extends AnyFunSuite {
     assert(PointGrid(IndexedSeq.empty[Point]).isEmpty)
   }
 
-  test("the four shipped point functions take the grid; network and custom WED functions scan") {
+  test("the four shipped point functions take the grid; custom WED scans") {
     val d = TestGen.randPoints(new Random(1), 50)
     // Spark tasks see a deserialized copy of the function, so check that too.
     def roundTrip[A](a: A): A = {
@@ -123,12 +122,6 @@ class PointGridSpec extends AnyFunSuite {
     for (spec <- Seq(Workloads.porto, Workloads.xian, Workloads.beijing, Workloads.tiny);
          fn <- Workloads.distFns(spec); f <- Seq(fn, roundTrip(fn)))
       assert(KPF.gridMinCost(d, f).isDefined, s"${spec.name} ${fn.name} falls back to the scan")
-    val net = RoadNetwork.grid(4, 4, 1.0, seed = 1)
-    val walk = IndexedSeq(0, 1, 2, 6)
-    for (fn <- Seq(NetDist.netErp(net, 5), NetDist.netEdr(net, 1.0)))
-      assert(KPF.gridMinCost(walk, fn).isEmpty, fn.name)
-    assert(KPF.gridMinCost(walk, NetDist.surs(net)).isEmpty)
     assert(KPF.gridMinCost(d, TestGen.pointFns.last).isEmpty)
-    assert(KPF.gridMinCost("abc".toIndexedSeq, TestGen.wedUnit[Char]).isEmpty)
   }
 }

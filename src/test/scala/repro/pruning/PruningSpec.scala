@@ -12,6 +12,10 @@ import scala.util.Random
   */
 class PruningSpec extends AnyFunSuite {
 
+  /** CMA under `fn` on arrays, as `Pruner.search` hands them over. */
+  private def searchArrays(fn: DistFn[Point]): (Array[Point], Array[Point]) => SubtrajResult =
+    (a, b) => CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn)
+
   private def smallDb(seed: Int, n: Int = 10): Array[(Long, Array[Point])] = {
     val r = new Random(seed)
     Array.tabulate(n)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(15)).toArray))
@@ -99,7 +103,7 @@ class PruningSpec extends AnyFunSuite {
         val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
         val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
         val got =
-          if (k == 1) Pruner.search(q, db, fn, params, (a, b) => CMA.search(a, b, fn), gotStats).toArray
+          if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
           else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
         val want = TopK.search(q.toIndexedSeq, wrapped, k, search, fullEstimateGate(q, fn, params, wantStats))
         assert(got.toSeq == want.toSeq, s"seed=$seed k=$k")
@@ -168,8 +172,6 @@ class PruningSpec extends AnyFunSuite {
       val db = Workloads.dataLocal(spec).take(10).map(t => (t.id, t.points))
       val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
       val search = (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn)
-      val searchArrays = (a: Array[Point], b: Array[Point]) =>
-        CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn)
       var kpfPruned = 0
       for (q <- Workloads.queries(spec);
            params <- Seq(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false),
@@ -178,7 +180,7 @@ class PruningSpec extends AnyFunSuite {
         assert(q.length <= 200 && db.forall(_._2.length <= 3000))
         val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
         val got =
-          if (k == 1) Pruner.search(q, db, fn, params, searchArrays, gotStats).toArray
+          if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
           else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
         val want = TopK.search(q.toIndexedSeq, wrapped, k, search, ScanOracles.gate(q, fn, params, wantStats))
         assert(got.toSeq == want.toSeq, s"k=$k params=$params")
@@ -194,9 +196,8 @@ class PruningSpec extends AnyFunSuite {
       val db = smallDb(seed + 40)
       val q = TestGen.randPoints(new Random(seed + 99), 6).toArray
       val params = Pruner.Params(eps = 1.0, mu = 0.4, r = 1.0, useGBP = false)
-      val got = Pruner.search(q, db, fn, params,
-        (a, b) => CMA.search(a, b, fn)).get
-      val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.sorted
+      val got = Pruner.search(q, db, fn, params, searchArrays(fn)).get
+      val want = db.map { case (_, d) => searchArrays(fn)(q, d).dist }.sorted
       TestGen.assertSameDist(got.dist, want.head)
       // k = 3: KPF prunes against the third-best distance.
       val top3 = TopK.search(q.toIndexedSeq, db.map { case (id, d) => (id, d.toIndexedSeq) }, 3,
@@ -213,8 +214,7 @@ class PruningSpec extends AnyFunSuite {
     val q = near._2.take(6)
     val stats = Pruner.Stats()
     val params = Pruner.Params(eps = 0.5, mu = 0.3)
-    val got = Pruner.search(q, near +: fars, Dist.dtw, params,
-      (a, b) => CMA.search(a, b, Dist.dtw), stats).get
+    val got = Pruner.search(q, near +: fars, Dist.dtw, params, searchArrays(Dist.dtw), stats).get
     assert(got.trajId == 0L)
     assert(stats.gbpPruned >= 18, s"stats=$stats")
   }

@@ -10,7 +10,7 @@ import repro.core._
 object ScanOracles {
 
   /** Exact (unsampled) lower bound `minCost(τq, τd)` of Theorem B.1. */
-  def lowerBound[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Double = fn match {
+  def lowerBound(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point]): Double = fn match {
     case FrechetFn(_, _) =>
       var i = 0; var mx = 0.0
       while (i < q.length) { val c = KPF.pointMinCost(q(i), d, fn); if (c > mx) mx = c; i += 1 }
@@ -22,8 +22,8 @@ object ScanOracles {
   }
 
   /** `KPF.estimate` with `KPF.pointMinCost` (an m·n scan) for every key point. */
-  def estimate[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], r: Double,
-                  stopAt: Double = Double.PositiveInfinity): Double = {
+  def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
+               stopAt: Double = Double.PositiveInfinity): Double = {
     val idx = KPF.keyPointIdx(q.length, r)
     fn match {
       case FrechetFn(_, _) =>

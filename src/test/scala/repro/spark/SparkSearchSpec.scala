@@ -26,7 +26,7 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   private val fns        = Workloads.distFns(Workloads.tiny)
 
   private def localBest(fn: DistFn[Point]): Seq[(Long, SubtrajResult)] =
-    local.toSeq.map(t => (t.id, CMA.search(q, t.points, fn)))
+    local.toSeq.map(t => (t.id, CMA.search(ArraySeq.unsafeWrapArray(q), ArraySeq.unsafeWrapArray(t.points), fn)))
 
   /** Every trajectory's best hit, one row each. */
   private def allHits(fn: DistFn[Point]): Array[TopK.Hit] =
@@ -113,6 +113,9 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
   test("an empty query batch is rejected on the driver") {
     assertThrows[IllegalArgumentException](SparkSearch.topKBatch(data, Array.empty, Dist.dtw, 1))
+    // So is an empty query: a task would fail it with a SparkException.
+    assertThrows[IllegalArgumentException](SparkSearch.topKBatch(data, Array(q, Array.empty[Point]), Dist.dtw, 1))
+    assertThrows[IllegalArgumentException](SparkSearch.topK(data, Array.empty[Point], Dist.dtw, 1))
   }
 
   test("ties at the k-th distance go to the lowest trajId, as on the driver") {
