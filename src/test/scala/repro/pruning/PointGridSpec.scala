@@ -3,6 +3,7 @@ package repro.pruning
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.eval.Workloads
+import repro.network.{NetDist, RoadNetwork}
 
 import scala.util.Random
 
@@ -111,7 +112,7 @@ class PointGridSpec extends AnyFunSuite {
     assert(PointGrid(IndexedSeq.empty[Point]).isEmpty)
   }
 
-  test("the four shipped point functions take the grid; custom WED scans") {
+  test("the four shipped point functions take the grid; network and custom WED functions scan") {
     val d = TestGen.randPoints(new Random(1), 50)
     // Spark tasks see a deserialized copy of the function, so check that too.
     def roundTrip[A](a: A): A = {
@@ -122,6 +123,15 @@ class PointGridSpec extends AnyFunSuite {
     for (spec <- Seq(Workloads.porto, Workloads.xian, Workloads.beijing, Workloads.tiny);
          fn <- Workloads.distFns(spec); f <- Seq(fn, roundTrip(fn)))
       assert(KPF.gridMinCost(d, f).isDefined, s"${spec.name} ${fn.name} falls back to the scan")
+    // KPF is typed on Point: network and char functions cannot reach the grid.
+    val net = RoadNetwork.grid(4, 4, 1.0, seed = 1)
+    val walk = IndexedSeq(0, 1, 2, 6)
+    val netFns: Seq[DistFn[Int]] = Seq(NetDist.netErp(net, 5), NetDist.netEdr(net, 1.0), NetDist.surs(net))
+    val chars = "abc".toIndexedSeq
+    val charFn: DistFn[Char] = TestGen.wedUnit[Char]
+    assert(netFns.length == 3 && walk.nonEmpty && chars.nonEmpty && charFn.name == "WED")
+    assertTypeError("KPF.gridMinCost(walk, netFns.head)")
+    assertTypeError("KPF.gridMinCost(chars, charFn)")
     assert(KPF.gridMinCost(d, TestGen.pointFns.last).isEmpty)
   }
 }
