@@ -12,8 +12,9 @@ import repro.eval.{Harness, Workloads}
   *   RLS-Skip 16.6/5.8/13.4   CMA 18.8/5.7/10.8   ExactS 7794/1626/overtime
   *   Spring 20.0/7.4/16.5   GB (FD) 29.0/10.8/75.9
   * Shape to hold at our scale: CMA is in the same league as the O(mn)
-  * approximations, ExactS is far slower (and overtime on the long-trajectory
-  * Beijing workload), Spring/GB are exact but no faster than CMA.
+  * approximations, ExactS is far slower (more than 3× CMA on the
+  * long-trajectory Beijing workload, where the paper reports "overtime"),
+  * Spring/GB are exact but no faster than CMA.
   */
 class Table3Bench extends AnyFunSuite with SparkSpec {
 
@@ -34,12 +35,12 @@ class Table3Bench extends AnyFunSuite with SparkSpec {
 
   test("Table 3 shape: every applicable cell is reported") {
     assert(rows.length == 3 * (4 * 6 + 1 + 1))
-    assert(rows.filterNot(_.overtime).forall(_.seconds > 0))
+    assert(rows.forall(_.seconds > 0))
   }
 
   test("Table 3 shape: exact algorithms agree on the best distance per (dataset, fn)") {
     for ((ds, fn) <- rows.map(r => (r.dataset, r.fn)).distinct) {
-      val exact = rows.filter(r => r.dataset == ds && r.fn == fn && !r.overtime &&
+      val exact = rows.filter(r => r.dataset == ds && r.fn == fn &&
         Set("CMA", "ExactS", "Spring", "GB").contains(r.algo)).map(_.bestDist)
       for (d <- exact)
         assert(math.abs(d - exact.head) < 1e-6, s"$ds/$fn exact disagreement: $exact")
@@ -52,24 +53,22 @@ class Table3Bench extends AnyFunSuite with SparkSpec {
     val beijingCma = rows.filter(r => r.dataset == "Beijing" && r.algo == "CMA")
     for (es <- beijingExactS) {
       val cma = beijingCma.find(_.fn == es.fn).get
-      assert(!cma.overtime, s"CMA must finish on Beijing: $cma")
-      // either the projection guard tripped (paper: "overtime") or it ran
-      // and is much slower than CMA
-      assert(es.overtime || es.seconds > 3 * cma.seconds,
-        s"ExactS should be overtime or >>CMA on Beijing: $es vs $cma")
+      // the paper reports "overtime" here; at our scale ExactS finishes,
+      // much slower than CMA
+      assert(es.seconds > 3 * cma.seconds, s"ExactS should be >>CMA on Beijing: $es vs $cma")
     }
   }
 
   test("Table 3 shape: total ExactS time dominates total CMA time") {
-    val exactsTotal = rows.filter(_.algo == "ExactS").map(_.seconds).sum // projections count
+    val exactsTotal = rows.filter(_.algo == "ExactS").map(_.seconds).sum
     val cmaTotal    = rows.filter(_.algo == "CMA").map(_.seconds).sum
-    println(s"total seconds: ExactS(+projected)=$exactsTotal CMA=$cmaTotal")
+    println(s"total seconds: ExactS=$exactsTotal CMA=$cmaTotal")
     assert(exactsTotal > cmaTotal)
   }
 
   test("Table 3 shape: CMA stays in the league of the O(mn) approximations") {
     for (ds <- Seq("Porto", "Xi'an", "Beijing"); fn <- Seq("DTW", "EDR", "ERP", "FD")) {
-      val cell = rows.filter(r => r.dataset == ds && r.fn == fn && !r.overtime)
+      val cell = rows.filter(r => r.dataset == ds && r.fn == fn)
       val cma = cell.find(_.algo == "CMA").get.seconds
       val approx = cell.filter(r => Set("POS", "PSS", "RLS", "RLS-Skip").contains(r.algo))
         .map(_.seconds)

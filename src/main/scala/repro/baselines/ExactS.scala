@@ -32,6 +32,7 @@ object ExactS {
     * Table 2) rank against. `+inf` below the diagonal.
     */
   def allDistances[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Array[Array[Double]] = {
+    require(q.nonEmpty && d.nonEmpty, "ExactS requires non-empty trajectories")
     val n = d.length
     val D = Array.fill(n, n)(Double.PositiveInfinity)
     var i = 1

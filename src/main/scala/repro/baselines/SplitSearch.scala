@@ -20,8 +20,8 @@ import repro.core._
   *     better quality than POS at roughly twice the cost, matching the
   *     paper's quality/efficiency ordering.
   *
-  * The returned interval's distance is re-evaluated with the exact full
-  * distance so reported AR/MR/RR reflect the true quality of the interval.
+  * Every candidate segment starts from a fresh or reset `PrefixDP` at its own
+  * start, so the best distance the scan saw is the interval's full distance.
   */
 object SplitSearch {
 
@@ -46,7 +46,7 @@ object SplitSearch {
       } else prev = cur
       t += 1
     }
-    SubtrajResult(bestS, bestT, FullDist.dist(q, d.slice(bestS - 1, bestT), fn))
+    SubtrajResult(bestS, bestT, bestD)
   }
 
   /** PSS: beam of two candidate segments plus suffix-distance guidance. */
@@ -78,7 +78,7 @@ object SplitSearch {
       }
       t += 1
     }
-    SubtrajResult(bestS, bestT, FullDist.dist(q, d.slice(bestS - 1, bestT), fn))
+    SubtrajResult(bestS, bestT, bestD)
   }
 
   /** `suffix(t) = dist(q, d[t:n])` for all t, computed in one backward

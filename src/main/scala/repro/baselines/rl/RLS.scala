@@ -39,7 +39,6 @@ object RLS {
                      policy: Policy, learn: Random, eps: Double): SubtrajResult = {
     require(q.nonEmpty && d.nonEmpty, "RLS requires non-empty trajectories")
     val m = q.length; val n = d.length
-    val nActions = if (policy.skip) 3 else 2
     val dp = PrefixDP(q, fn)
     var s = 1
     var bestS = 1; var bestT = 1; var bestD = Double.PositiveInfinity
@@ -84,7 +83,7 @@ object RLS {
       val reward = if (bestD <= 1e-12) 1.0 else -(bestD / math.max(opt, 1e-9) - 1.0)
       policy.table.update(pendingState, pendingAction, reward, 0, terminal = true)
     }
-    SubtrajResult(bestS, bestT, FullDist.dist(q, d.slice(bestS - 1, bestT), fn))
+    SubtrajResult(bestS, bestT, bestD)
   }
 
   /** Train a policy on `pairs` of (query, data) trajectories. Deterministic

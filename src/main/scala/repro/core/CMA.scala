@@ -63,8 +63,8 @@ object CMA {
 
     i = 2
     while (i <= m) {
-      var t = prevC; prevC = curC; curC = t
-      var ts = prevS; prevS = curS; curS = ts
+      val t = prevC; prevC = curC; curC = t
+      val ts = prevS; prevS = curS; curS = ts
       val qi = q(i - 1)
       val delQi = delQ(i)
       var subPrev = c.sub(qi, d(0)) // sub(qi, d[j-1]) for the next column j

@@ -110,14 +110,7 @@ object Harness {
   // ------------------------------------------------------------------
 
   final case class Table3Row(dataset: String, fn: String, algo: String,
-                             seconds: Double, overtime: Boolean,
-                             bestDist: Double)
-
-  /** Per-cell time budget: if a driver-side projection from two sample
-    * trajectories exceeds it, the cell reports "overtime" (the paper's
-    * Beijing × ExactS entries).
-    */
-  val OvertimeBudgetSec = 10.0
+                             seconds: Double, bestDist: Double)
 
   /** Wall time to answer all queries over the full (pruned) database with
     * each algorithm — one `SparkSearch.topKBatch` job per cell runs
@@ -134,27 +127,12 @@ object Harness {
       // mu = 0.1: keep a sizable survivor fraction, as in the paper's Table 3
       // where the search phase (not pruning) separates the algorithms.
       val params   = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1)
-      val q0       = ArraySeq.unsafeWrapArray(queries.head)
-      val sample   = Seq(spec.traj(0), spec.traj(1)).map(t => ArraySeq.unsafeWrapArray(t.points))
 
-      val rows = for (fn <- fns; algo <- Algo.all; sLocal <- searcher(algo, fn, policies)) yield {
-        // Projection guard (drives the paper's "overtime" entries). Best of
-        // the two samples: an algorithm's first call runs cold (class
-        // loading, interpreter), which the distributed run does not repeat.
-        val perPair = sample.map { d =>
-          val t0s = System.nanoTime(); sLocal(q0, d); (System.nanoTime() - t0s) / 1e9
-        }.min
-        val parallelism = math.min(spark.sparkContext.defaultParallelism, spec.nData)
-        val projected = perPair * spec.nData * queries.length / parallelism
-        if (projected > OvertimeBudgetSec) {
-          Table3Row(spec.name, fn.name, algo.name, projected, overtime = true, Double.NaN)
-        } else {
-          val t0 = System.nanoTime()
-          val bestDist = SparkSearch.topKBatch(data, queries, fn, 1, Some(params), Some(sLocal))
-            .flatMap(_.map(_.dist)).minOption.getOrElse(Double.PositiveInfinity)
-          Table3Row(spec.name, fn.name, algo.name, (System.nanoTime() - t0) / 1e9,
-                    overtime = false, bestDist)
-        }
+      val rows = for (fn <- fns; algo <- Algo.all; search <- searcher(algo, fn, policies)) yield {
+        val t0 = System.nanoTime()
+        val bestDist = SparkSearch.topKBatch(data, queries, fn, 1, Some(params), Some(search))
+          .flatMap(_.map(_.dist)).minOption.getOrElse(Double.PositiveInfinity)
+        Table3Row(spec.name, fn.name, algo.name, (System.nanoTime() - t0) / 1e9, bestDist)
       }
       data.unpersist()
       rows
@@ -165,8 +143,7 @@ object Harness {
     val sb = new StringBuilder
     sb.append(f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"Time(s)"}%12s\n")
     rows.foreach { r =>
-      val t = if (r.overtime) f"overtime(~${r.seconds}%.0f)" else f"${r.seconds}%.2f"
-      sb.append(f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo}%-9s $t%12s\n")
+      sb.append(f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo}%-9s ${r.seconds}%12.2f\n")
     }
     sb.toString
   }

@@ -2,6 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
+import repro.network.NetTrajGen
 
 import scala.util.Random
 
@@ -16,16 +17,13 @@ import scala.util.Random
   */
 final case class DatasetSpec(name: String, nData: Int, gen: TrajGenSpec,
                              qLenMin: Int, qLenMax: Int, nQueries: Int,
-                             edrEps: Double, seed: Long,
-                             road: Boolean = true) {
+                             edrEps: Double, seed: Long) {
   def erpCenter: Point = Point(gen.width / 2, gen.height / 2)
 
-  /** Trajectory `id` of this workload: road-constrained by default (shared
-    * corridors, like taxi data — DESIGN.md §5), free random walk otherwise.
+  /** Trajectory `id` of this workload: road-constrained (shared corridors,
+    * like taxi data — DESIGN.md §5).
     */
-  def traj(id: Long): Traj =
-    if (road) repro.network.NetTrajGen.gen(id, gen, seed)
-    else TrajGen.gen(id, gen, seed)
+  def traj(id: Long): Traj = NetTrajGen.gen(id, gen, seed)
 }
 
 object Workloads {

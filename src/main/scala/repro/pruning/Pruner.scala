@@ -24,7 +24,8 @@ object Pruner {
                          var kpfPruned: Int = 0, var searched: Int = 0)
 
   /** GBP→KPF gate for query `q` (Algorithm 3 lines 8–12), counting into
-    * `stats`. KPF prunes against the k-th best distance once k hits are held;
+    * `stats`. An empty data trajectory is rejected with
+    * `IllegalArgumentException`, as every pairwise search rejects it. KPF prunes against the k-th best distance once k hits are held;
     * at `r = 1` that is sound for any k, because the bound lower-bounds the
     * trajectory's own optimum (Theorem B.1). The estimate stops summing once
     * it reaches the k-th best, which leaves every decision unchanged.
@@ -34,6 +35,7 @@ object Pruner {
     val qCells = GBP.queryCells(q, params.eps)
     val qIdx = ArraySeq.unsafeWrapArray(q)
     (d, kth) => {
+      require(d.nonEmpty, "data trajectories must not be empty")
       stats.examined += 1
       if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
         stats.gbpPruned += 1; false

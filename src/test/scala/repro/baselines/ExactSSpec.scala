@@ -34,6 +34,14 @@ class ExactSSpec extends AnyFunSuite {
       TestGen.assertSameDist(ExactS.search(q, d, fn).dist, CMA.search(q, d, fn).dist)
     }
 
+  test("allDistances rejects empty trajectories, as search does") {
+    val p = IndexedSeq(Point(0, 0))
+    for ((q, d) <- Seq((IndexedSeq.empty[Point], p), (p, IndexedSeq.empty[Point]))) {
+      assertThrows[IllegalArgumentException](ExactS.allDistances(q, d, Dist.dtw))
+      assertThrows[IllegalArgumentException](ExactS.search(q, d, Dist.dtw))
+    }
+  }
+
   test("allDistances matrix minimum equals the search result") {
     for (fn <- TestGen.pointFns) {
       val (q, d) = TestGen.randPair(123)

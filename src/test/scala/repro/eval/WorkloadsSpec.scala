@@ -2,7 +2,6 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.core._
 
 /** Workload generation: dataset specs, query derivation, training pairs. */
 class WorkloadsSpec extends AnyFunSuite with SparkSpec {
@@ -15,16 +14,6 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
     for ((a, b) <- local.zip(dist)) {
       assert(a.id == b.id)
       assert(a.xs.toSeq == b.xs.toSeq && a.ys.toSeq == b.ys.toSeq)
-    }
-  }
-
-  test("Workloads.data without road snapping matches TrajGen on the executors") {
-    val spec = Workloads.tiny.copy(road = false)
-    val ds = Workloads.data(spark, spec).collect().sortBy(_.id)
-    assert(ds.length == spec.nData)
-    for (t <- ds) {
-      val want = TrajGen.gen(t.id, spec.gen, spec.seed)
-      assert(t.xs.toSeq == want.xs.toSeq)
     }
   }
 

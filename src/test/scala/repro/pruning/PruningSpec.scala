@@ -206,6 +206,25 @@ class PruningSpec extends AnyFunSuite {
       for ((h, w) <- top3.zip(want)) TestGen.assertSameDist(h.dist, w)
     }
 
+  // GBP would cut an empty trajectory (no close points), and so would KPF
+  // once an incumbent exists (its bound over no points is +inf).
+  test("gate rejects an empty data trajectory before GBP or KPF, first or second") {
+    val d = TestGen.randPoints(new Random(8), 12).toArray
+    val q = d.take(5)
+    for (useGBP <- Seq(true, false); emptyFirst <- Seq(true, false)) {
+      val data =
+        if (emptyFirst) Seq((0L, Array.empty[Point]), (1L, d))
+        else Seq((0L, d), (1L, Array.empty[Point]))
+      val stats = Pruner.Stats()
+      val params = Pruner.Params(eps = 0.5, mu = 0.4, useGBP = useGBP)
+      assertThrows[IllegalArgumentException](
+        Pruner.search(q, data, Dist.dtw, params, searchArrays(Dist.dtw), stats))
+      // Only the trajectories before the empty one are counted.
+      val want = if (emptyFirst) Pruner.Stats() else Pruner.Stats(examined = 1, searched = 1)
+      assert(stats == want, s"useGBP=$useGBP emptyFirst=$emptyFirst")
+    }
+  }
+
   test("pipeline prunes most of a database of far trajectories") {
     val r = new Random(9)
     val near = (0L, TestGen.randPoints(r, 10).toArray)
