@@ -18,10 +18,8 @@ import repro.eval.{Harness, Workloads}
   */
 class Table2Bench extends AnyFunSuite with SparkSpec {
 
-  private lazy val rows = Harness.table2(spark, Seq(Workloads.porto, Workloads.xian))
-
-  private val exactAlgos  = Set("CMA", "ExactS", "Spring", "GB")
-  private val approxAlgos = Set("POS", "PSS", "RLS", "RLS-Skip")
+  private val specs = Seq(Workloads.porto, Workloads.xian)
+  private lazy val rows = Harness.table2(spark, specs)
 
   test("Table 2: print measured vs paper") {
     println("=== Table 2 (measured) — paper values in the suite doc comment ===")
@@ -29,7 +27,7 @@ class Table2Bench extends AnyFunSuite with SparkSpec {
   }
 
   test("Table 2 shape: exact algorithms are exactly optimal (AR=MR=1, RR=0)") {
-    val exact = rows.filter(r => exactAlgos(r.algo))
+    val exact = rows.filter(_.algo.exact)
     assert(exact.nonEmpty)
     for (r <- exact) {
       assert(math.abs(r.ar - 1.0) < 1e-6, s"$r")
@@ -39,7 +37,7 @@ class Table2Bench extends AnyFunSuite with SparkSpec {
   }
 
   test("Table 2 shape: approximate algorithms never beat the optimum and miss it somewhere") {
-    val approx = rows.filter(r => approxAlgos(r.algo))
+    val approx = rows.filter(!_.algo.exact)
     for (r <- approx) {
       assert(r.ar >= 1.0 - 1e-9, s"$r")
       assert(r.mr >= 1.0, s"$r")
@@ -51,19 +49,14 @@ class Table2Bench extends AnyFunSuite with SparkSpec {
   }
 
   test("Table 2 shape: every (dataset, fn) is covered by all applicable algorithms") {
-    for (ds <- Seq("Porto", "Xi'an"); fn <- Seq("DTW", "EDR", "ERP", "FD")) {
-      val algos = rows.filter(r => r.dataset == ds && r.fn == fn).map(_.algo).toSet
-      val expected = Set("POS", "PSS", "RLS", "RLS-Skip", "CMA", "ExactS") ++
-        (if (fn == "DTW") Set("Spring") else Set.empty[String]) ++
-        (if (fn == "FD") Set("GB") else Set.empty[String])
-      assert(algos == expected, s"$ds/$fn: $algos")
-    }
+    val expected = specs.flatMap(s => Harness.cells(s).map(c => (s.name, c.fn.name, c.algo)))
+    assert(rows.map(r => (r.dataset, r.fn, r.algo)) == expected)
   }
 
   test("Table 2 shape: DTW is the hardest function for the approximations") {
     // Paper §6.2: "All algorithms except CMA have poor performance when DTW
     // is used." Compare mean approximate AR under DTW vs the easiest fn.
-    val byFn = rows.filter(r => approxAlgos(r.algo)).groupBy(_.fn)
+    val byFn = rows.filter(!_.algo.exact).groupBy(_.fn)
       .view.mapValues(rs => rs.map(_.ar).sum / rs.size).toMap
     println(s"mean approximate AR by fn: $byFn")
     assert(byFn("DTW") >= byFn.values.min,

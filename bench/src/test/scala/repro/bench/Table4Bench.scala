@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.Harness
+import repro.eval.{Algo, Harness}
 
 /** Table 4 reproduction: the complexity summary. The paper's table is a
   * static claim (CMA/Spring/GB/POS are O(mn); ExactS is O(mn²)); we validate
@@ -18,18 +18,18 @@ class Table4Bench extends AnyFunSuite {
   }
 
   test("Table 4 shape: O(mn) algorithms are ~linear in n") {
-    for (r <- rows if r.claimed == "O(mn)")
+    for (r <- rows if r.algo.claimed == Algo.CMA.claimed)
       assert(r.exponent < 1.55, s"${r.algo}/${r.fn} should be ~linear, fitted ${r.exponent}")
   }
 
   test("Table 4 shape: ExactS is ~quadratic in n") {
-    val es = rows.find(_.algo == "ExactS").get
+    val es = rows.find(_.algo == Algo.ExactS).get
     assert(es.exponent > 1.6, s"ExactS should be ~quadratic, fitted ${es.exponent}")
   }
 
   test("Table 4 shape: ExactS grows at least ~n faster than CMA") {
-    val cma = rows.find(r => r.algo == "CMA" && r.fn == "DTW").get
-    val es  = rows.find(_.algo == "ExactS").get
+    val cma = rows.find(r => r.algo == Algo.CMA && r.fn == "DTW").get
+    val es  = rows.find(_.algo == Algo.ExactS).get
     assert(es.exponent - cma.exponent > 0.5,
       s"exponent gap too small: cma=${cma.exponent} exacts=${es.exponent}")
     // absolute-time sanity at ExactS's largest size, against CMA at the same n
@@ -39,10 +39,10 @@ class Table4Bench extends AnyFunSuite {
   }
 
   test("Table 4 shape: every exact O(mn) competitor is within a constant of CMA") {
-    val cma = rows.find(r => r.algo == "CMA" && r.fn == "DTW").get.times.last._2
-    for (algo <- Seq("Spring", "GB", "POS")) {
+    val cma = rows.find(r => r.algo == Algo.CMA && r.fn == "DTW").get.times.last._2
+    for (algo <- Seq(Algo.Spring, Algo.GB, Algo.POS)) {
       val t = rows.find(_.algo == algo).get.times.last._2
-      assert(t < 100 * cma + 0.5, s"$algo at n=2000 took $t vs CMA $cma")
+      assert(t < 100 * cma + 0.5, s"${algo.name} at n=2000 took $t vs CMA $cma")
     }
   }
 }

@@ -10,19 +10,20 @@ import repro.spark.SparkSearch
 import scala.collection.immutable.ArraySeq
 
 /** The search algorithms of Tables 2/3, each carrying the name the tables
-  * print. `Harness.searcher` maps each to its pairwise search.
+  * print, whether the paper counts it exact, and its Table-4 complexity
+  * class. `Harness.searcher` maps each to its pairwise search.
   */
-sealed abstract class Algo(val name: String) extends Serializable
+sealed abstract class Algo(val name: String, val exact: Boolean, val claimed: String) extends Serializable
 
 object Algo {
-  case object POS     extends Algo("POS")
-  case object PSS     extends Algo("PSS")
-  case object RLS     extends Algo("RLS")
-  case object RLSSkip extends Algo("RLS-Skip")
-  case object CMA     extends Algo("CMA")
-  case object ExactS  extends Algo("ExactS")
-  case object Spring  extends Algo("Spring")
-  case object GB      extends Algo("GB")
+  case object POS     extends Algo("POS",      exact = false, claimed = "O(mn)")
+  case object PSS     extends Algo("PSS",      exact = false, claimed = "O(mn)")
+  case object RLS     extends Algo("RLS",      exact = false, claimed = "O(mn)")
+  case object RLSSkip extends Algo("RLS-Skip", exact = false, claimed = "O(mn)")
+  case object CMA     extends Algo("CMA",      exact = true,  claimed = "O(mn)")
+  case object ExactS  extends Algo("ExactS",   exact = true,  claimed = "O(mn^2)")
+  case object Spring  extends Algo("Spring",   exact = true,  claimed = "O(mn)")
+  case object GB      extends Algo("GB",       exact = true,  claimed = "O(mn)")
 
   /** Every algorithm, in the paper's Table 2/3 order. */
   val all: Seq[Algo] = Seq(POS, PSS, RLS, RLSSkip, CMA, ExactS, Spring, GB)
@@ -38,25 +39,31 @@ object Harness {
   /** A pairwise search: the best subtrajectory of the data for the query. */
   type Search = (IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult
 
-  /** Per-(dataset, fn) trained RLS policies: (plain, skip). */
-  def trainPolicies(spec: DatasetSpec, fns: Seq[DistFn[Point]]): Map[String, (RLS.Policy, RLS.Policy)] = {
+  /** One cell of Tables 2/3: `algo`'s pairwise search under `fn`. */
+  final case class Cell(fn: DistFn[Point], algo: Algo, search: Search)
+
+  /** Every cell the paper runs on `spec`, function by function, each in
+    * `Algo.all` order. Each function's RLS policies are trained once, on
+    * pairs disjoint from the evaluation data.
+    */
+  def cells(spec: DatasetSpec): Seq[Cell] = {
     val pairs = Workloads.trainingPairs(spec, nPairs = 8)
-    fns.map { fn =>
-      fn.name -> (RLS.train(pairs, fn, skip = false, seed = spec.seed),
-                  RLS.train(pairs, fn, skip = true,  seed = spec.seed + 1))
-    }.toMap
+    for (fn <- Workloads.distFns(spec);
+         policies = (RLS.train(pairs, fn, skip = false, seed = spec.seed),
+                     RLS.train(pairs, fn, skip = true,  seed = spec.seed + 1));
+         algo <- Algo.all; search <- searcher(algo, fn, policies))
+      yield Cell(fn, algo, search)
   }
 
   /** `algo`'s pairwise search under `fn`, or `None` where the paper does not
-    * run it: Spring is DTW-only and GB is FD-only (paper §3.2/§3.3). The RLS
-    * variants read `fn`'s policies from `policies`.
+    * run it: Spring is DTW-only and GB is FD-only (paper §3.2/§3.3). Only the
+    * RLS variants read `policies`, `fn`'s trained (plain, skip) pair, once.
     */
-  def searcher(algo: Algo, fn: DistFn[Point],
-               policies: Map[String, (RLS.Policy, RLS.Policy)]): Option[Search] = (algo, fn) match {
+  def searcher(algo: Algo, fn: DistFn[Point], policies: => (RLS.Policy, RLS.Policy)): Option[Search] = (algo, fn) match {
     case (Algo.POS, _)                    => Some(SplitSearch.pos(_, _, fn))
     case (Algo.PSS, _)                    => Some(SplitSearch.pss(_, _, fn))
-    case (Algo.RLS, _)                    => Some(RLS.search(_, _, fn, policies(fn.name)._1))
-    case (Algo.RLSSkip, _)                => Some(RLS.search(_, _, fn, policies(fn.name)._2))
+    case (Algo.RLS, _)                    => val p = policies._1; Some(RLS.search(_, _, fn, p))
+    case (Algo.RLSSkip, _)                => val p = policies._2; Some(RLS.search(_, _, fn, p))
     case (Algo.CMA, _)                    => Some(CMA.search(_, _, fn))
     case (Algo.ExactS, _)                 => Some(ExactS.search(_, _, fn))
     case (Algo.Spring, dtw @ DtwFn(_, _)) => Some(Spring.search(_, _, dtw))
@@ -68,7 +75,7 @@ object Harness {
   // Table 2: effectiveness (AR / MR / RR)
   // ------------------------------------------------------------------
 
-  final case class Table2Row(dataset: String, fn: String, algo: String,
+  final case class Table2Row(dataset: String, fn: String, algo: Algo,
                              ar: Double, mr: Double, rrPct: Double)
 
   /** AR/MR/RR of every applicable algorithm for each (dataset, fn), averaged
@@ -78,82 +85,69 @@ object Harness {
     */
   def table2(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table2Row] =
     specs.flatMap { spec =>
-      val fns      = Workloads.distFns(spec)
-      val queries  = Workloads.queries(spec).map(ArraySeq.unsafeWrapArray(_))
-      val policies = trainPolicies(spec, fns)
-      // Keyed by fn index and algorithm (both equal after the trip through
-      // the executors); each group keeps partition order for its sums.
+      val cells   = Harness.cells(spec)
+      val queries = Workloads.queries(spec).map(ArraySeq.unsafeWrapArray(_))
+      val byFn    = cells.zipWithIndex.groupBy(_._1.fn).toSeq
+      // Keyed by cell index; each group keeps partition order for its sums.
       val evals = SparkSearch.eachPartition(Workloads.data(spark, spec)) { trajs =>
-        for ((_, d) <- trajs.iterator; q <- queries.iterator; (fn, f) <- fns.iterator.zipWithIndex;
-             all = ExactS.allDistances(q, d, fn);
-             algo <- Algo.all.iterator; search <- searcher(algo, fn, policies))
-          yield ((f, algo), Metrics.evaluate(search(q, d), all))
+        for ((_, d) <- trajs.iterator; q <- queries.iterator; (fn, fnCells) <- byFn.iterator;
+             all = ExactS.allDistances(q, d, fn); (cell, c) <- fnCells.iterator)
+          yield (c, Metrics.evaluate(cell.search(q, d), all))
       }.toSeq.groupMap(_._1)(_._2)
 
-      for ((fn, f) <- fns.zipWithIndex; algo <- Algo.all if searcher(algo, fn, policies).isDefined) yield {
-        val agg = Metrics.aggregate(evals.getOrElse((f, algo), Nil))
-        Table2Row(spec.name, fn.name, algo.name, agg.ar, agg.mr, agg.rrPct)
+      for ((cell, c) <- cells.zipWithIndex) yield {
+        val agg = Metrics.aggregate(evals.getOrElse(c, Nil))
+        Table2Row(spec.name, cell.fn.name, cell.algo, agg.ar, agg.mr, agg.rrPct)
       }
     }
 
-  def formatTable2(rows: Seq[Table2Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"AR"}%10s ${"MR"}%10s ${"RR"}%8s\n")
-    rows.foreach { r =>
-      sb.append(f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo}%-9s ${r.ar}%10.4f ${r.mr}%10.2f ${r.rrPct}%7.2f%%\n")
-    }
-    sb.toString
-  }
+  def formatTable2(rows: Seq[Table2Row]): String =
+    f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"AR"}%10s ${"MR"}%10s ${"RR"}%8s\n" + rows.map(r =>
+      f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo.name}%-9s ${r.ar}%10.4f ${r.mr}%10.2f ${r.rrPct}%7.2f%%\n").mkString
 
   // ------------------------------------------------------------------
   // Table 3: efficiency (wall seconds per dataset × fn × algorithm)
   // ------------------------------------------------------------------
 
-  final case class Table3Row(dataset: String, fn: String, algo: String,
-                             seconds: Double, bestDist: Double)
+  final case class Table3Row(dataset: String, fn: String, algo: Algo,
+                             seconds: Double, dists: Seq[Double])
 
   /** Wall time to answer all queries over the full (pruned) database with
     * each algorithm — one `SparkSearch.topKBatch` job per cell runs
     * Algorithm 3's GBP+KPF cascade per query inside each partition, as in
-    * the paper's Table 3 setup.
+    * the paper's Table 3 setup. `dists` keeps each query's best distance, in
+    * `Workloads.queries` order, `+inf` where the gate cut every trajectory.
     */
-  def table3(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table3Row] = {
+  def table3(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table3Row] =
     specs.flatMap { spec =>
-      val fns      = Workloads.distFns(spec)
       val queries  = Workloads.queries(spec)
-      val policies = trainPolicies(spec, fns)
+      val cells    = Harness.cells(spec)
       val data     = Workloads.data(spark, spec).cache()
       data.count() // materialize so generation cost is excluded from timings
       // mu = 0.1: keep a sizable survivor fraction, as in the paper's Table 3
       // where the search phase (not pruning) separates the algorithms.
       val params   = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1)
-
-      val rows = for (fn <- fns; algo <- Algo.all; search <- searcher(algo, fn, policies)) yield {
+      // untimed, so the first cell does not pay the run's warm-up
+      SparkSearch.topKBatch(data, queries.take(1), cells.head.fn, 1, Some(params), Some(cells.head.search))
+      val rows = cells.map { cell =>
         val t0 = System.nanoTime()
-        val bestDist = SparkSearch.topKBatch(data, queries, fn, 1, Some(params), Some(search))
-          .flatMap(_.map(_.dist)).minOption.getOrElse(Double.PositiveInfinity)
-        Table3Row(spec.name, fn.name, algo.name, (System.nanoTime() - t0) / 1e9, bestDist)
+        val hits = SparkSearch.topKBatch(data, queries, cell.fn, 1, Some(params), Some(cell.search))
+        Table3Row(spec.name, cell.fn.name, cell.algo, (System.nanoTime() - t0) / 1e9,
+          hits.toSeq.map(_.headOption.fold(Double.PositiveInfinity)(_.dist)))
       }
       data.unpersist()
       rows
     }
-  }
 
-  def formatTable3(rows: Seq[Table3Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"Time(s)"}%12s\n")
-    rows.foreach { r =>
-      sb.append(f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo}%-9s ${r.seconds}%12.2f\n")
-    }
-    sb.toString
-  }
+  def formatTable3(rows: Seq[Table3Row]): String =
+    f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"Time(s)"}%12s\n" + rows.map(r =>
+      f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo.name}%-9s ${r.seconds}%12.2f\n").mkString
 
   // ------------------------------------------------------------------
   // Table 4: complexity summary — empirical growth-exponent validation
   // ------------------------------------------------------------------
 
-  final case class Table4Row(algo: String, fn: String, claimed: String,
-                             exponent: Double, times: Seq[(Int, Double)])
+  final case class Table4Row(algo: Algo, fn: String, exponent: Double, times: Seq[(Int, Double)])
 
   /** Empirically validate the complexity claims of Table 4: measure per-pair
     * time vs data length `n` (fixed `m`) and fit the log-log slope. O(mn)
@@ -165,27 +159,22 @@ object Harness {
              reps: Int = 5): Seq[Table4Row] = {
     val spec = TrajGenSpec(lenMin = 1, lenMax = 1, width = 20, height = 20, stepKm = 0.1)
     def trajOf(n: Int, id: Long): IndexedSeq[Point] =
-      scala.collection.immutable.ArraySeq.unsafeWrapArray(TrajGen.gen(id, spec.copy(lenMin = n, lenMax = n), 99).points)
+      ArraySeq.unsafeWrapArray(TrajGen.gen(id, spec.copy(lenMin = n, lenMax = n), 99).points)
     val qSmall = trajOf(m, 1000)     // ExactS: m·n²/2 cells is already slow
     val qBig   = trajOf(m * 5, 1001) // linear algos: lift m·n above timer noise
 
-    val cases = Seq[(Algo, DistFn[Point], String, Int)](
-      (Algo.CMA,    Dist.dtw, "O(mn)",   8),
-      (Algo.CMA,    Dist.fd,  "O(mn)",   8),
-      (Algo.Spring, Dist.dtw, "O(mn)",   8),
-      (Algo.GB,     Dist.fd,  "O(mn)",   8),
-      (Algo.POS,    Dist.dtw, "O(mn)",   8),
-      (Algo.ExactS, Dist.dtw, "O(mn^2)", 1),
-    )
-    val runs = for ((algo, fn, claimed, scale) <- cases; run <- searcher(algo, fn, Map.empty))
-      yield (algo, fn, claimed, if (scale == 1) qSmall else qBig, sizes.map(_ * scale), run)
+    val cases = Seq[(Algo, DistFn[Point])](Algo.CMA -> Dist.dtw, Algo.CMA -> Dist.fd,
+      Algo.Spring -> Dist.dtw, Algo.GB -> Dist.fd, Algo.POS -> Dist.dtw, Algo.ExactS -> Dist.dtw)
+    val runs = for ((algo, fn) <- cases; run <- searcher(algo, fn, ???); // no RLS case
+                    linear = algo.claimed == Algo.CMA.claimed)
+      yield (algo, fn, if (linear) qBig else qSmall, sizes.map(_ * (if (linear) 8 else 1)), run)
 
     // Warm every case at its largest size before any point is timed: the
     // first case's smallest sizes otherwise run before the JIT has compiled
     // its kernel, which bends the fitted exponent.
-    for ((_, _, _, q, ns, run) <- runs) { val d = trajOf(ns.max, 2000 + ns.max); run(q, d); run(q, d) }
+    for ((_, _, q, ns, run) <- runs) { val d = trajOf(ns.max, 2000 + ns.max); run(q, d); run(q, d) }
 
-    runs.map { case (algo, fn, claimed, q, ns, run) =>
+    runs.map { case (algo, fn, q, ns, run) =>
       // Every size is a prefix of one walk, so n is all that varies: a fresh
       // walk per size lets a data-dependent search (GB) time the walks.
       val walk = trajOf(ns.max, 2000 + ns.max)
@@ -205,17 +194,13 @@ object Harness {
       val mx = lx.sum / lx.size; val my = ly.sum / ly.size
       val slope = lx.zip(ly).map { case (a, b) => (a - mx) * (b - my) }.sum /
                   lx.map(a => (a - mx) * (a - mx)).sum
-      Table4Row(algo.name, fn.name, claimed, slope, times)
+      Table4Row(algo, fn.name, slope, times)
     }
   }
 
-  def formatTable4(rows: Seq[Table4Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"Algorithm"}%-9s ${"Fn"}%-5s ${"Claimed"}%-9s ${"Fitted n-exponent"}%18s   times(n->s)\n")
-    rows.foreach { r =>
+  def formatTable4(rows: Seq[Table4Row]): String =
+    f"${"Algorithm"}%-9s ${"Fn"}%-5s ${"Claimed"}%-9s ${"Fitted n-exponent"}%18s   times(n->s)\n" + rows.map { r =>
       val ts = r.times.map { case (n, t) => f"$n->${t}%.4f" }.mkString(" ")
-      sb.append(f"${r.algo}%-9s ${r.fn}%-5s ${r.claimed}%-9s ${r.exponent}%18.2f   $ts\n")
-    }
-    sb.toString
-  }
+      f"${r.algo.name}%-9s ${r.fn}%-5s ${r.algo.claimed}%-9s ${r.exponent}%18.2f   $ts\n"
+    }.mkString
 }
