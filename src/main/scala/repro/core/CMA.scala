@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** Result of a subtrajectory search: the optimal `τd[start:end]` (1-based,
   * inclusive) and its distance to the query trajectory.
   */
@@ -23,11 +25,22 @@ object CMA {
   def search[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): SubtrajResult = {
     require(q.nonEmpty && d.nonEmpty, "CMA requires non-empty trajectories")
     fn match {
-      case WedFn(_, c)       => searchWed(q, d, c)
-      case DtwFn(_, sub)     => searchSum(q, d, sub, frechet = false)
-      case FrechetFn(_, sub) => searchSum(q, d, sub, frechet = true)
+      case WedFn(_, c: RowCosts) => searchWedRows(q, d, c)
+      case WedFn(_, c)           => searchWed(q, d, c)
+      case DtwFn(_, sub)         => searchSum(q, d, sub, frechet = false)
+      case FrechetFn(_, sub)     => searchSum(q, d, sub, frechet = true)
     }
   }
+
+  /* Eq. 7 has two kernels, chosen by the cost model's type. `searchWed`
+   * evaluates `sub` inside the cell loop; `searchWedRows` first gathers a
+   * whole row of `sub` costs from a `RowCosts` lookup table. Gathering pays
+   * only when `sub` is a lookup. Filling a row by `sub` calls for point
+   * EDR/ERP too (perfbench `beijing-exact`, 4 cores) raised them from 2.0 /
+   * 2.2 to 3.1 / 3.2 ns/cell and cut 115-119 to 92-99 queries/s: the fused
+   * loop hides each point cost's `sqrt` behind the DP update. Both kernels
+   * share the cell update below.
+   */
 
   /** Eq. 7 — WED family. Row `i` is computed from row `i-1` plus the
     * in-row `ins`-chain term `C[i][j-1] + ins(d[j-1]) - sub(q[i], d[j-1]) +
@@ -41,72 +54,128 @@ object CMA {
     */
   private def searchWed[T](q: IndexedSeq[T], d: IndexedSeq[T], c: WedCosts[T]): SubtrajResult = {
     val m = q.length; val n = d.length
+    val (delQ, delPrefix, insD) = indels(q, d, c)
     var prevC = new Array[Double](n + 1) // C[i-1][*], 1-based in j
     var curC  = new Array[Double](n + 1)
     var prevS = new Array[Int](n + 1)    // start index s[i-1][*]
     var curS  = new Array[Int](n + 1)
 
-    // delQ(i) = del(q[i]); delPrefix(i) = del(q[1:i])
-    val delQ = new Array[Double](m + 1)
-    val delPrefix = new Array[Double](m + 1)
-    var i = 1
-    while (i <= m) { delQ(i) = c.del(q(i - 1)); delPrefix(i) = delPrefix(i - 1) + delQ(i); i += 1 }
-
-    // insD(j) = ins(d[j])
-    val insD = new Array[Double](n + 1)
-    var j = 1
-    while (j <= n) { insD(j) = c.ins(d(j - 1)); j += 1 }
-
     // i = 1: C[1][j] = sub(q1, dj), s[1][j] = j
-    j = 1
+    var j = 1
     while (j <= n) { curC(j) = c.sub(q(0), d(j - 1)); curS(j) = j; j += 1 }
 
-    i = 2
+    var i = 2
     while (i <= m) {
       val t = prevC; prevC = curC; curC = t
       val ts = prevS; prevS = curS; curS = ts
       val qi = q(i - 1)
-      val delQi = delQ(i)
+      val delQi = delQ(i); val freshTail = delPrefix(i - 1)
       var subPrev = c.sub(qi, d(0)) // sub(qi, d[j-1]) for the next column j
-
-      // j = 1: delete qi (q[i-1] also matched d1), or substitute qi for d1
-      // after deleting the whole query prefix q[1:i-1].
-      val a1 = prevC(1) + delQi
-      val b1 = subPrev + delPrefix(i - 1)
-      if (a1 <= b1) { curC(1) = a1; curS(1) = prevS(1) }
-      else          { curC(1) = b1; curS(1) = 1 }
-
-      val freshTail = delPrefix(i - 1)
+      firstColumn(prevC, curC, prevS, curS, delQi, freshTail, subPrev)
       j = 2
       while (j <= n) {
         val subJ = c.sub(qi, d(j - 1))
-        val delB = prevC(j) + delQi                                 // delete qi
-        val insB = curC(j - 1) + insD(j - 1) - subPrev + subJ       // ins-chain
-        val subB = prevC(j - 1) + subJ                              // substitute
-        // Fresh-start branch: delete the query prefix q[1:i-1] and open the
-        // window at d[j]. Eq. 7 writes this only for j = 1, which loses the
-        // optimum when deleting the query head is cheaper than substituting
-        // it and the best window starts mid-trajectory (e.g. under ERP); the
-        // generalization keeps O(1) per cell and restores agreement with
-        // min-window WED (which ExactS computes). See DESIGN.md §3.
-        val freshB = subJ + freshTail
-        var best = delB; var src = 0
-        if (insB < best) { best = insB; src = 1 }
-        if (subB < best) { best = subB; src = 2 }
-        if (freshB < best) { best = freshB; src = 3 }
-        curC(j) = best
-        curS(j) = src match {
-          case 0 => prevS(j)
-          case 1 => curS(j - 1)
-          case 2 => prevS(j - 1)
-          case _ => j
-        }
+        cell(prevC, curC, prevS, curS, j, delQi, freshTail, insD(j - 1), subPrev, subJ)
         subPrev = subJ
         j += 1
       }
       i += 1
     }
     argmin(curC, curS, n)
+  }
+
+  /** Eq. 7 over [[RowCosts]]: `searchWed`'s recurrence and `del`/`ins`
+    * calls, but row `i`'s `sub(q[i], d[*])` comes from one `subRow` call (m
+    * calls in all). The ids of `d` reach it as a primitive array: unwrapped
+    * from an `ArraySeq.ofInt`, copied once otherwise.
+    */
+  private def searchWedRows(q: IndexedSeq[Int], d: IndexedSeq[Int], c: RowCosts): SubtrajResult = {
+    val m = q.length; val n = d.length
+    val ds = d match {
+      case a: ArraySeq.ofInt => a.unsafeArray
+      case _                 => d.toArray
+    }
+    val (delQ, delPrefix, insD) = indels(q, d, c)
+    var prevC = new Array[Double](n + 1)
+    var curC  = new Array[Double](n + 1)
+    var prevS = new Array[Int](n + 1)
+    var curS  = new Array[Int](n + 1)
+    val sub   = new Array[Double](n + 1) // sub(q[i], d[*]), 1-based in j
+
+    c.subRow(q(0), ds, curC)
+    var j = 1
+    while (j <= n) { curS(j) = j; j += 1 }
+
+    var i = 2
+    while (i <= m) {
+      val t = prevC; prevC = curC; curC = t
+      val ts = prevS; prevS = curS; curS = ts
+      c.subRow(q(i - 1), ds, sub)
+      val delQi = delQ(i); val freshTail = delPrefix(i - 1)
+      firstColumn(prevC, curC, prevS, curS, delQi, freshTail, sub(1))
+      j = 2
+      while (j <= n) {
+        cell(prevC, curC, prevS, curS, j, delQi, freshTail, insD(j - 1), sub(j - 1), sub(j))
+        j += 1
+      }
+      i += 1
+    }
+    argmin(curC, curS, n)
+  }
+
+  /** `del(q[i])`, `del(q[1:i])` (1-based in i) and `ins(d[j])` (1-based in j). */
+  private def indels[T](q: IndexedSeq[T], d: IndexedSeq[T],
+                        c: WedCosts[T]): (Array[Double], Array[Double], Array[Double]) = {
+    val m = q.length; val n = d.length
+    val delQ = new Array[Double](m + 1)
+    val delPrefix = new Array[Double](m + 1)
+    var i = 1
+    while (i <= m) { delQ(i) = c.del(q(i - 1)); delPrefix(i) = delPrefix(i - 1) + delQ(i); i += 1 }
+    val insD = new Array[Double](n + 1)
+    var j = 1
+    while (j <= n) { insD(j) = c.ins(d(j - 1)); j += 1 }
+    (delQ, delPrefix, insD)
+  }
+
+  /** Eq. 7 at `j = 1`, row `i >= 2`: delete `q[i]` (`q[i-1]` also matched
+    * `d[1]`), or substitute `q[i]` for `d[1]` (`sub1`) after deleting the
+    * whole query prefix `q[1:i-1]` (`freshTail`).
+    */
+  private def firstColumn(prevC: Array[Double], curC: Array[Double], prevS: Array[Int], curS: Array[Int],
+                          delQi: Double, freshTail: Double, sub1: Double): Unit = {
+    val a1 = prevC(1) + delQi
+    val b1 = sub1 + freshTail
+    if (a1 <= b1) { curC(1) = a1; curS(1) = prevS(1) }
+    else          { curC(1) = b1; curS(1) = 1 }
+  }
+
+  /** Eq. 7 at `j >= 2`, row `i >= 2`: `C[i][j]` and its start `s[i][j]`,
+    * given `insPrev = ins(d[j-1])`, `subPrev = sub(q[i], d[j-1])` and
+    * `subJ = sub(q[i], d[j])`.
+    */
+  private def cell(prevC: Array[Double], curC: Array[Double], prevS: Array[Int], curS: Array[Int], j: Int,
+                   delQi: Double, freshTail: Double, insPrev: Double, subPrev: Double, subJ: Double): Unit = {
+    val delB = prevC(j) + delQi                           // delete qi
+    val insB = curC(j - 1) + insPrev - subPrev + subJ     // ins-chain
+    val subB = prevC(j - 1) + subJ                        // substitute
+    // Fresh-start branch: delete the query prefix q[1:i-1] and open the
+    // window at d[j]. Eq. 7 writes this only for j = 1, which loses the
+    // optimum when deleting the query head is cheaper than substituting
+    // it and the best window starts mid-trajectory (e.g. under ERP); the
+    // generalization keeps O(1) per cell and restores agreement with
+    // min-window WED (which ExactS computes). See DESIGN.md §3.
+    val freshB = subJ + freshTail
+    var best = delB; var src = 0
+    if (insB < best) { best = insB; src = 1 }
+    if (subB < best) { best = subB; src = 2 }
+    if (freshB < best) { best = freshB; src = 3 }
+    curC(j) = best
+    curS(j) = src match {
+      case 0 => prevS(j)
+      case 1 => curS(j - 1)
+      case 2 => prevS(j - 1)
+      case _ => j
+    }
   }
 
   /** Eq. 8 (DTW, `frechet=false`) and Eq. 9 (FD, `frechet=true`): both share

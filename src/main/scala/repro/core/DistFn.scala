@@ -9,11 +9,25 @@ package repro.core
   *
   * Costs must be pure: CMA evaluates each `sub` once per DP cell, `ins` once
   * per data point and `del` once per query point, and reuses the values.
+  * A model whose `sub` is a table lookup by integer id can also implement
+  * [[RowCosts]], which CMA then reads one DP row at a time.
   */
 trait WedCosts[T] extends Serializable {
   def sub(a: T, b: T): Double
   def del(a: T): Double
   def ins(b: T): Double
+}
+
+/** WED costs over integer ids (road-network nodes or edges) whose `sub` is a
+  * table lookup. CMA gathers each DP row's `sub` costs with one [[subRow]]
+  * call into a primitive array, so no id is boxed per cell.
+  *
+  * `subRow` must be pure and equal `sub` element-wise, bit for bit: after
+  * `subRow(a, ds, out)`, `out(j + 1) == sub(a, ds(j))` for every `j` in
+  * `ds`'s indices; it writes no other slot of `out`.
+  */
+trait RowCosts extends WedCosts[Int] {
+  def subRow(a: Int, ds: Array[Int], out: Array[Double]): Unit
 }
 
 /** A trajectory distance function in the paper's general conversion framework

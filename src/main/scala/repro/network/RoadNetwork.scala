@@ -53,15 +53,19 @@ final class RoadNetwork(val xs: Array[Double], val ys: Array[Double],
     dist
   }
 
-  /** Network distance with per-source caching. Threads that miss the same
-    * row at once each run `dijkstra(a)` and store equal rows, so no lock is
-    * needed; at most `nNodes` rows are ever held.
+  /** Shortest-path distances from `a` to every node, cached per source.
+    * Threads that miss the same row at once each run `dijkstra(a)` and store
+    * equal rows, so no lock is needed; at most `nNodes` rows are ever held.
+    * The row is shared: callers must not write to it.
     */
-  def dist(a: Int, b: Int): Double = {
-    var row = spRows.get(a)
-    if (row == null) { row = dijkstra(a); spRows.set(a, row) }
-    row(b)
+  def row(a: Int): Array[Double] = {
+    var r = spRows.get(a)
+    if (r == null) { r = dijkstra(a); spRows.set(a, r) }
+    r
   }
+
+  /** Network distance from `a` to `b`, read from `a`'s cached [[row]]. */
+  def dist(a: Int, b: Int): Double = row(a)(b)
 
   /** Nearest node to a planar point (linear scan — networks here are small). */
   def nearestNode(p: Point): Int = {

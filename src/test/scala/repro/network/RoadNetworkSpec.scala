@@ -3,6 +3,8 @@ package repro.network
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 
+import scala.collection.immutable.ArraySeq
+
 /** Road-network substrate: Dijkstra vs Floyd–Warshall, metric properties,
   * and CMA exactness under the Appendix-D functions (NetERP, NetEDR, SURS).
   */
@@ -114,18 +116,147 @@ class RoadNetworkSpec extends AnyFunSuite {
     for (ps <- pairs; (a, b, got) <- ps) assert(got == rows(a)(b), s"dist($a, $b)")
   }
 
-  test("NetERP top-K from 4 threads == single-threaded") {
-    def setup(n: RoadNetwork) = {
-      val r = new scala.util.Random(5)
-      val data = (0 until 12).map(i => (i.toLong, n.walk(r.nextInt(n.nNodes), 20 + r.nextInt(20), i).toIndexedSeq))
-      val qs = (0 until 8).map(i => n.walk(r.nextInt(n.nNodes), 4 + r.nextInt(6), 100 + i).toIndexedSeq)
-      (data, qs, NetDist.netErp(n, center = n.nNodes / 2))
+  // Each function on a cold row cache of a >= 144-node grid, so node and
+  // edge ids lie outside the Integer cache and the row kernel's concurrent
+  // `row` fetches race; every thread starts its queries at a different one.
+  for ((name, mk) <- Seq[(String, RoadNetwork => WedFn[Int])](
+         "NetERP" -> (n => NetDist.netErp(n, center = n.nNodes / 2)),
+         "NetEDR" -> (n => NetDist.netEdr(n, eps = 1.2)),
+         "SURS"   -> (n => NetDist.surs(n))))
+    test(s"$name top-K from 4 threads == single-threaded") {
+      val edges = name == "SURS"
+      def setup(n: RoadNetwork) = {
+        val r = new scala.util.Random(5)
+        def walk(len: Int, seed: Int): IndexedSeq[Int] = {
+          val w = n.walk(r.nextInt(n.nNodes), len, seed)
+          ArraySeq.unsafeWrapArray(if (edges) n.walkEdges(w) else w)
+        }
+        val data = (0 until 12).map(i => (i.toLong, walk(20 + r.nextInt(20), i)))
+        val qs = (0 until 8).map(i => walk(4 + r.nextInt(6), 100 + i))
+        (data, qs, mk(n))
+      }
+      val (data, qs, fn) = setup(RoadNetwork.grid(12, 12, 1.0, seed = 17))
+      assert(data.exists(_._2.exists(_ > 127)))
+      val got = inParallel(4) { t =>
+        qs.indices.map(k => (k + 2 * t) % qs.length)
+          .map(k => k -> TopK.cma(qs(k), data, 3, fn).toSeq).sortBy(_._1).map(_._2)
+      }
+      val (data1, qs1, fn1) = setup(RoadNetwork.grid(12, 12, 1.0, seed = 17))
+      val want = qs1.map(q => TopK.cma(q, data1, 3, fn1).toSeq)
+      for (g <- got) assert(g == want)
     }
-    val (data, qs, fn) = setup(RoadNetwork.grid(9, 9, 1.0, seed = 17))
-    val got = inParallel(4)(t => qs.map(q => TopK.cma(q, data, 3, fn).toSeq))
-    val (data1, qs1, fn1) = setup(RoadNetwork.grid(9, 9, 1.0, seed = 17))
-    val want = qs1.map(q => TopK.cma(q, data1, 3, fn1).toSeq)
-    for (g <- got) assert(g == want)
+
+  // --- the row kernel (`RowCosts`) against the fused per-cell kernel ---
+  // 169 nodes and 624 edges: most ids are outside the Integer cache.
+  private lazy val big = RoadNetwork.grid(13, 13, 1.0, seed = 23)
+
+  /** Delegates to `c` without the row capability, so CMA takes the fused
+    * kernel, and counts the cost calls it sees.
+    */
+  private final class Counting(c: WedCosts[Int]) extends WedCosts[Int] {
+    var subs, dels, inss = 0L
+    def sub(a: Int, b: Int): Double = { subs += 1; c.sub(a, b) }
+    def del(a: Int): Double = { dels += 1; c.del(a) }
+    def ins(b: Int): Double = { inss += 1; c.ins(b) }
+  }
+
+  private def ids(a: Array[Int]): IndexedSeq[Int] = ArraySeq.unsafeWrapArray(a)
+
+  /** Row kernel == fused kernel, bit for bit, on primitive-array and
+    * `Vector` inputs; the fused kernel sees m·n `sub`, m `del`, n `ins`.
+    */
+  private def assertKernelsAgree(q: IndexedSeq[Int], d: IndexedSeq[Int], fn: WedFn[Int]): SubtrajResult = {
+    assert(fn.costs.isInstanceOf[RowCosts] && q.isInstanceOf[ArraySeq.ofInt] && d.isInstanceOf[ArraySeq.ofInt])
+    val row = CMA.search(q, d, fn)
+    val counting = new Counting(fn.costs)
+    assert(CMA.search(q, d, WedFn(fn.name, counting)) == row, s"${fn.name} q=$q d=$d")
+    assert(counting.subs == q.length.toLong * d.length && counting.dels == q.length && counting.inss == d.length)
+    assert(CMA.search(q.toVector, d.toVector, fn) == row)
+    assert(CMA.search(q, d.toVector, fn) == row)
+    row
+  }
+
+  /** A random subsequence of `d` (each element kept with probability 0.6,
+    * at least one): matching it needs insertions, so the ins-chain term wins.
+    */
+  private def thinned(d: Array[Int], r: scala.util.Random): Array[Int] = {
+    val kept = d.filter(_ => r.nextDouble() < 0.6)
+    if (kept.nonEmpty) kept else d.take(1)
+  }
+
+  private def bigNodePair(seed: Int): (IndexedSeq[Int], IndexedSeq[Int]) = {
+    val r = new scala.util.Random(seed)
+    val d = big.walk(r.nextInt(big.nNodes), 1 + r.nextInt(40), seed)
+    val q = r.nextInt(3) match {
+      case 0 if d.length > 3 => d.slice(1 + r.nextInt(d.length - 2), d.length)
+      case 1                 => thinned(d.slice(r.nextInt(d.length), d.length), r)
+      case _                 => big.walk(r.nextInt(big.nNodes), 1 + r.nextInt(12), seed + 1)
+    }
+    (ids(q), ids(d))
+  }
+
+  private def bigEdgePair(seed: Int): (IndexedSeq[Int], IndexedSeq[Int]) = {
+    val r = new scala.util.Random(seed)
+    val d = big.walkEdges(big.walk(r.nextInt(big.nNodes), 2 + r.nextInt(40), seed))
+    val q =
+      if (r.nextBoolean()) thinned(d.slice(r.nextInt(d.length), d.length), r)
+      else big.walkEdges(big.walk(r.nextInt(big.nNodes), 2 + r.nextInt(12), seed + 1))
+    (ids(q), ids(d))
+  }
+
+  test("row kernel == fused kernel (==) under NetERP, NetEDR and SURS, ids beyond the Integer cache") {
+    val farErp = NetDist.netErp(big, center = 150)
+    val edr = NetDist.netEdr(big, eps = 1.2)
+    val surs = NetDist.surs(big)
+    var large = 0
+    for (seed <- 0 until 80) {
+      val (q, d) = bigNodePair(seed * 31 + 7)
+      assertKernelsAgree(q, d, farErp)
+      // A gap node on the data walk makes insertions cheap near it.
+      assertKernelsAgree(q, d, NetDist.netErp(big, center = d(d.length / 2)))
+      assertKernelsAgree(q, d, edr)
+      val (qe, de) = bigEdgePair(seed * 37 + 5)
+      assertKernelsAgree(qe, de, surs)
+      if ((q ++ d ++ qe ++ de).exists(_ > 127)) large += 1
+    }
+    assert(large >= 70, s"only $large of 80 cases hold an id above 127")
+  }
+
+  test("row kernel == fused kernel under NetERP when the gap node heads the query (a fresh-start window wins)") {
+    for (seed <- 0 until 20) {
+      val r = new scala.util.Random(seed)
+      val d = big.walk(r.nextInt(big.nNodes), 20 + r.nextInt(20), seed)
+      val from = 3 + r.nextInt(10)
+      val gap = (0 until big.nNodes).filterNot(d.contains).maxBy(v => big.dist(v, d(from)))
+      // The gap node costs nothing to delete and the tail matches d exactly,
+      // so the optimum is 0 only through the fresh start at d[from + 1].
+      val q = ids(gap +: d.slice(from, from + 2 + r.nextInt(6)))
+      val got = assertKernelsAgree(q, ids(d), NetDist.netErp(big, center = gap))
+      assert(got.dist == 0.0 && got.start > 1, s"seed $seed: $got")
+    }
+  }
+
+  test("row kernel == fused kernel on single-node queries and single-node data") {
+    val r = new scala.util.Random(3)
+    val fns = Seq(NetDist.netErp(big, center = 140), NetDist.netEdr(big, eps = 1.2), NetDist.surs(big))
+    for (fn <- fns; _ <- 0 until 15) {
+      val universe = if (fn.name == "SURS") big.edges.length else big.nNodes
+      def one() = ids(Array(universe - 1 - r.nextInt(universe / 2)))
+      val long = ids(Array.fill(1 + r.nextInt(20))(r.nextInt(universe)))
+      assertKernelsAgree(one(), long, fn)
+      assertKernelsAgree(long, one(), fn)
+      assertKernelsAgree(one(), one(), fn)
+    }
+  }
+
+  test("CMA == brute force under NetERP, NetEDR and SURS on the 169-node grid") {
+    for (seed <- 0 until 12) {
+      val (q, d) = bigNodePair(seed * 41 + 9)
+      val (qe, de) = bigEdgePair(seed * 43 + 2)
+      for ((fn, a, b) <- Seq((NetDist.netErp(big, center = q.head), q, d), (NetDist.netErp(big, center = 150), q, d),
+                             (NetDist.netEdr(big, eps = 1.2), q, d), (NetDist.surs(big), qe, de)))
+        TestGen.assertSameDist(CMA.search(a, b, fn).dist, BruteForce.search(a, b, fn).dist)
+    }
   }
 
   // --- Appendix-D distance functions: CMA remains exact ---
