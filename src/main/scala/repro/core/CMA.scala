@@ -18,19 +18,41 @@ final case class SubtrajResult(start: Int, end: Int, dist: Double) {
   * `τd[1:j]` with `τq[i]` matched to `τd[j]`. `s[i][j]` tracks the index of
   * `τq[1]`'s match, i.e. the start of the subtrajectory. By Theorems 4.1/4.2
   * the answer is `min_j C[m][j]` with start `s[m][argmin]`.
+  *
+  * With non-negative costs no later row can undercut a finished row's
+  * bound (DESIGN.md §3): `min_j C[i][j]` for DTW/FD, `min(min_j C[i][j],
+  * del(q[1:i]))` for the WED family. [[searchBelow]] stops there once that
+  * bound reaches a threshold (the UCR suite's early abandoning).
   */
 object CMA {
 
   /** Search the optimal subtrajectory of `d` for query `q` under `fn`. */
   def search[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): SubtrajResult = {
     require(q.nonEmpty && d.nonEmpty, "CMA requires non-empty trajectories")
-    fn match {
-      case WedFn(_, c: RowCosts) => searchWedRows(q, d, c)
-      case WedFn(_, c)           => searchWed(q, d, c)
-      case DtwFn(_, sub)         => searchSum(q, d, sub, frechet = false)
-      case FrechetFn(_, sub)     => searchSum(q, d, sub, frechet = true)
-    }
+    run(q, d, fn, Double.PositiveInfinity)
   }
+
+  /** [[search]] below a threshold: `Some(search(q, d, fn))` iff its distance
+    * is `< bound`, else `None`. Between rows the kernel checks the finished
+    * row's bound and returns `None` as soon as it proves the optimum `>=
+    * bound`, without filling the remaining rows. An infinite `bound` sets no
+    * threshold: the answer is then `Some(search(q, d, fn))` for every input,
+    * a NaN or infinite distance included.
+    */
+  def searchBelow[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], bound: Double): Option[SubtrajResult] = {
+    require(q.nonEmpty && d.nonEmpty, "CMA requires non-empty trajectories")
+    val r = run(q, d, fn, bound)
+    if (r != null && (r.dist < bound || bound == Double.PositiveInfinity)) Some(r) else None
+  }
+
+  /** The optimum, or `null` once a finished row proves it `>= bound`. */
+  private def run[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], bound: Double): SubtrajResult =
+    fn match {
+      case WedFn(_, c: RowCosts) => searchWedRows(q, d, c, bound)
+      case WedFn(_, c)           => searchWed(q, d, c, bound)
+      case DtwFn(_, sub)         => searchSum(q, d, sub, frechet = false, bound)
+      case FrechetFn(_, sub)     => searchSum(q, d, sub, frechet = true, bound)
+    }
 
   /* Eq. 7 has two kernels, chosen by the cost model's type. `searchWed`
    * evaluates `sub` inside the cell loop; `searchWedRows` first gathers a
@@ -52,7 +74,7 @@ object CMA {
     * cell, carried one column for the `ins`-chain term — m·n `sub`, n `ins`
     * and m `del` calls in all.
     */
-  private def searchWed[T](q: IndexedSeq[T], d: IndexedSeq[T], c: WedCosts[T]): SubtrajResult = {
+  private def searchWed[T](q: IndexedSeq[T], d: IndexedSeq[T], c: WedCosts[T], bound: Double): SubtrajResult = {
     val m = q.length; val n = d.length
     val (delQ, delPrefix, insD) = indels(q, d, c)
     var prevC = new Array[Double](n + 1) // C[i-1][*], 1-based in j
@@ -66,6 +88,8 @@ object CMA {
 
     var i = 2
     while (i <= m) {
+      if (abandoned(curC, n, delPrefix(i - 1), bound) &&
+          abandoned(curC, n, delPrefix(i - 1), wedStop(bound, n, delQ, insD))) return null
       val t = prevC; prevC = curC; curC = t
       val ts = prevS; prevS = curS; curS = ts
       val qi = q(i - 1)
@@ -89,7 +113,7 @@ object CMA {
     * calls in all). The ids of `d` reach it as a primitive array: unwrapped
     * from an `ArraySeq.ofInt`, copied once otherwise.
     */
-  private def searchWedRows(q: IndexedSeq[Int], d: IndexedSeq[Int], c: RowCosts): SubtrajResult = {
+  private def searchWedRows(q: IndexedSeq[Int], d: IndexedSeq[Int], c: RowCosts, bound: Double): SubtrajResult = {
     val m = q.length; val n = d.length
     val ds = d match {
       case a: ArraySeq.ofInt => a.unsafeArray
@@ -108,6 +132,8 @@ object CMA {
 
     var i = 2
     while (i <= m) {
+      if (abandoned(curC, n, delPrefix(i - 1), bound) &&
+          abandoned(curC, n, delPrefix(i - 1), wedStop(bound, n, delQ, insD))) return null
       val t = prevC; prevC = curC; curC = t
       val ts = prevS; prevS = curS; curS = ts
       c.subRow(q(i - 1), ds, sub)
@@ -183,7 +209,7 @@ object CMA {
     * `sub`, FD takes `max{·, sub}`.
     */
   private def searchSum[T](q: IndexedSeq[T], d: IndexedSeq[T],
-                           sub: (T, T) => Double, frechet: Boolean): SubtrajResult = {
+                           sub: (T, T) => Double, frechet: Boolean, bound: Double): SubtrajResult = {
     val m = q.length; val n = d.length
     var prevC = new Array[Double](n + 1)
     var curC  = new Array[Double](n + 1)
@@ -195,6 +221,7 @@ object CMA {
 
     var i = 2
     while (i <= m) {
+      if (abandoned(curC, n, Double.PositiveInfinity, bound)) return null
       val t = prevC; prevC = curC; curC = t
       val ts = prevS; prevS = curS; curS = ts
       val qi = q(i - 1)
@@ -222,6 +249,36 @@ object CMA {
       i += 1
     }
     argmin(curC, curS, n)
+  }
+
+  /** Whether finished row `c` proves every later cell, and so the optimum,
+    * `>= stop`: both its smallest cell and `floor` reach `stop`. `floor` is
+    * the cheapest fresh start of any later row, `del(q[1:i])`, for the WED
+    * family and `+inf` for DTW/FD. `stop = +inf` or NaN never abandons.
+    */
+  private def abandoned(c: Array[Double], n: Int, floor: Double, stop: Double): Boolean =
+    stop < Double.PositiveInfinity && floor >= stop && {
+      var mn = c(1); var j = 2
+      while (j <= n) { if (c(j) < mn) mn = c(j); j += 1 }
+      mn >= stop
+    }
+
+  /** The WED kernels' `stop` for `bound`: `bound` plus the most the
+    * ins-chain's subtract-then-add can round a later cell below a finished
+    * row's bound. Along any DP path at most `n - 1` ins-chain steps follow,
+    * each rounding three times by at most half an ulp of a value below
+    * `bound + max del + 2 max ins` (DESIGN.md §3); `stop` doubles that.
+    * The kernels work it out only once a row bound reaches `bound`: worked
+    * out before the row loop, even behind a branch, it slowed the unbounded
+    * fused kernel under ERP from 2.0 to 2.26 ns/cell (JDK 17 C2).
+    */
+  private def wedStop(bound: Double, n: Int, delQ: Array[Double], insD: Array[Double]): Double =
+    bound + 3.0 * n * Math.ulp(1.0) * (bound + largest(delQ) + 2 * largest(insD))
+
+  private def largest(a: Array[Double]): Double = {
+    var mx = 0.0; var k = 0
+    while (k < a.length) { if (a(k) > mx) mx = a(k); k += 1 }
+    mx
   }
 
   private def argmin(c: Array[Double], s: Array[Int], n: Int): SubtrajResult = {

@@ -5,7 +5,8 @@ package repro.core
   * NetERP and SURS are instances (paper §5.3, Appendix D).
   *
   * CMA's `ins`-chain shortcut (Eq. 7) assumes the triangle-type inequality
-  * `del(x) + ins(y) >= sub(x, y)`; all shipped instances satisfy it.
+  * `del(x) + ins(y) >= sub(x, y)`, and `CMA.searchBelow`'s row bound also
+  * non-negative costs; all shipped instances satisfy both.
   *
   * Costs must be pure: CMA evaluates each `sub` once per DP cell, `ins` once
   * per data point and `del` once per query point, and reuses the values.

@@ -16,8 +16,6 @@ object TopK {
     */
   type Gate[T] = (IndexedSeq[T], Double) => Boolean
 
-  private implicit val byDistDesc: Ordering[Hit] = Ordering.by[Hit, Double](_.dist)
-
   /** Answer order: ascending distance, ties to the lower trajectory id. */
   private val ranked: Ordering[Hit] = Ordering.by((h: Hit) => (h.dist, h.trajId))
 
@@ -28,25 +26,39 @@ object TopK {
 
   /** K best hits (ascending distance), one per data trajectory, using
     * `search` for each trajectory that `gate` lets through (all of them by
-    * default). A hit replaces the k-th best only when strictly closer.
+    * default). A hit replaces the k-th best only when strictly closer, and
+    * the k-th best is the last held hit in answer order, so over data in
+    * ascending id order the hits are the k first in answer order.
     */
   def search[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
                    search: (Q, D) => SubtrajResult,
-                   gate: (D, Double) => Boolean = (_: D, _: Double) => true): Array[Hit] = {
+                   gate: (D, Double) => Boolean = (_: D, _: Double) => true): Array[Hit] =
+    searchBelow(q, data, k, (a: Q, b: D, _: Double) => Some(search(a, b)), gate)
+
+  /** The one incumbent loop: [[search]] with a threshold-aware `search`,
+    * which sees the current k-th best distance (`+inf` until k hits are
+    * held) and may answer `None` once it proves the trajectory's optimum no
+    * closer than that (`CMA.searchBelow`). Such a trajectory could not have
+    * replaced the k-th best, so the hits are those of the full search.
+    */
+  def searchBelow[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
+                        search: (Q, D, Double) => Option[SubtrajResult],
+                        gate: (D, Double) => Boolean = (_: D, _: Double) => true): Array[Hit] = {
     require(k >= 1, "k must be >= 1")
-    val heap = new scala.collection.mutable.PriorityQueue[Hit]() // max-heap by dist
+    val heap = new scala.collection.mutable.PriorityQueue[Hit]()(ranked) // its head is the k-th best
     for ((id, d) <- data) {
       val kth = if (heap.size < k) Double.PositiveInfinity else heap.head.dist
-      if (gate(d, kth)) {
-        val r = search(q, d)
-        if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
-        else if (r.dist < kth) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
+      if (gate(d, kth)) search(q, d, kth) match {
+        case Some(r) =>
+          if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
+          else if (r.dist < kth) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
+        case None =>
       }
     }
     heap.toArray.sorted(ranked)
   }
 
-  /** Convenience: top-K with CMA under `fn`. */
+  /** Top-K with the full CMA under `fn`: the unpruned reference. */
   def cma[T](q: IndexedSeq[T], data: Iterable[(Long, IndexedSeq[T])], k: Int,
              fn: DistFn[T]): Array[Hit] =
     search(q, data, k, (a: IndexedSeq[T], b: IndexedSeq[T]) => CMA.search(a, b, fn))

@@ -25,19 +25,25 @@ object Pruner {
 
   /** GBP→KPF gate for query `q` (Algorithm 3 lines 8–12), counting into
     * `stats`. An empty data trajectory is rejected with
-    * `IllegalArgumentException`, as every pairwise search rejects it. KPF prunes against the k-th best distance once k hits are held;
-    * at `r = 1` that is sound for any k, because the bound lower-bounds the
-    * trajectory's own optimum (Theorem B.1). The estimate stops summing once
-    * it reaches the k-th best, which leaves every decision unchanged.
+    * `IllegalArgumentException`, as every pairwise search rejects it. The
+    * query's GBP cells are built only when GBP runs. KPF prunes against the
+    * k-th best distance once k hits are held; at `r = 1` that is sound for
+    * any k, because the bound lower-bounds the trajectory's own optimum
+    * (Theorem B.1). The estimate stops summing once it reaches the k-th
+    * best, which leaves every decision unchanged.
     */
   def gate(q: Array[Point], fn: DistFn[Point], params: Params,
            stats: Stats = Stats()): TopK.Gate[Point] = {
-    val qCells = GBP.queryCells(q, params.eps)
+    val gbp: IndexedSeq[Point] => Boolean =
+      if (params.useGBP) {
+        val qCells = GBP.queryCells(q, params.eps)
+        d => GBP.passes(qCells, d, params.eps, params.mu)
+      } else _ => true
     val qIdx = ArraySeq.unsafeWrapArray(q)
     (d, kth) => {
       require(d.nonEmpty, "data trajectories must not be empty")
       stats.examined += 1
-      if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
+      if (!gbp(d)) {
         stats.gbpPruned += 1; false
       } else if (kth < Double.PositiveInfinity &&
                  KPF.estimate(qIdx, d, fn, params.r, stopAt = kth) >= kth) {

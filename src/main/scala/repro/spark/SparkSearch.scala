@@ -9,10 +9,10 @@ import scala.reflect.ClassTag
 
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
-  * every partition runs the shared top-K loop (`TopK.search`, optionally
-  * behind Algorithm 3's GBP→KPF gate) once per query of the batch, and the
-  * driver merges the at most `K × partitions` hits per query by
-  * `(dist, trajId)` (`TopK.merge`), the order `TopK.search` itself uses.
+  * every partition runs the shared top-K loop (`TopK.searchBelow`,
+  * optionally behind Algorithm 3's GBP→KPF gate) once per query of the
+  * batch, and the driver merges the at most `K × partitions` hits per query
+  * by `(dist, trajId)` (`TopK.merge`), the order that loop itself uses.
   *
   * The query path builds no Catalyst plan: `Dataset.rdd` is a lazy val, so
   * the cached Dataset is planned once, on the first call, not once per
@@ -41,9 +41,14 @@ object SparkSearch {
     topKBatch(data, Array(q), fn, k, params, searchOne).head
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
-    * one job: each partition keeps a local top-K of `searchOne` results (CMA
-    * by default) per query, over the trajectories that query's `params` gate
-    * lets through (all of them by default).
+    * one job: each partition keeps a local top-K per query over the
+    * trajectories that query's `params` gate lets through (all of them by
+    * default). A caller's `searchOne` searches every such trajectory in
+    * full. By default CMA does, below the partition's current k-th best
+    * (`CMA.searchBelow`): it stops a trajectory's DP once a finished row
+    * proves the trajectory cannot enter the local top K, which leaves every
+    * hit unchanged. A query with no point or a non-finite coordinate is
+    * rejected on the driver.
     */
   def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int,
                 params: Option[Pruner.Params] = None,
@@ -52,13 +57,17 @@ object SparkSearch {
     require(k >= 1, "k must be >= 1")
     require(qs.nonEmpty, "the query batch must not be empty")
     require(qs.forall(_.nonEmpty), "queries must not be empty")
-    val search = searchOne.getOrElse((a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn))
+    require(qs.forall(_.forall(p => p.x.isFinite && p.y.isFinite)), "query coordinates must be finite")
+    val search: (IndexedSeq[Point], IndexedSeq[Point], Double) => Option[SubtrajResult] = searchOne match {
+      case Some(s) => (a, b, _) => Some(s(a, b))
+      case None    => (a, b, kth) => CMA.searchBelow(a, b, fn, kth)
+    }
     val locals = eachPartition(data) { trajs =>
       Iterator.single(qs.map { q =>
         val qi = ArraySeq.unsafeWrapArray(q)
         params match {
-          case Some(p) => TopK.search(qi, trajs, k, search, Pruner.gate(q, fn, p))
-          case None    => TopK.search(qi, trajs, k, search)
+          case Some(p) => TopK.searchBelow(qi, trajs, k, search, Pruner.gate(q, fn, p))
+          case None    => TopK.searchBelow(qi, trajs, k, search)
         }
       })
     }

@@ -58,6 +58,15 @@ class TopKSpec extends AnyFunSuite {
     assert(seen.toSeq == want)
   }
 
+  test("a closer hit evicts the highest id among hits tied at the k-th distance") {
+    val r = new Random(12)
+    val (far, near) = (TestGen.randPoints(r, 6), TestGen.randPoints(r, 6))
+    val q = near.take(3)
+    val data = Seq(0L -> far, 1L -> far, 2L -> far, 3L -> near, 4L -> far)
+    assert(CMA.search(q, near, Dist.dtw).dist < CMA.search(q, far, Dist.dtw).dist)
+    assert(TopK.cma(q, data, 3, Dist.dtw).map(_.trajId).toSeq == Seq(3L, 0L, 1L))
+  }
+
   test("topK rejects k < 1") {
     intercept[IllegalArgumentException] {
       TopK.cma(TestGen.randPoints(new Random(1), 3), db(1, 3), 0, Dist.dtw)

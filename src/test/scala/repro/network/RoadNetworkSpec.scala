@@ -222,6 +222,58 @@ class RoadNetworkSpec extends AnyFunSuite {
     assert(large >= 70, s"only $large of 80 cases hold an id above 127")
   }
 
+  /** `c` with its `subRow` calls (DP rows) counted; still a `RowCosts`. */
+  private final class CountingRows(c: RowCosts) extends RowCosts {
+    var rows = 0L
+    def sub(a: Int, b: Int): Double = c.sub(a, b)
+    def del(a: Int): Double = c.del(a)
+    def ins(b: Int): Double = c.ins(b)
+    def subRow(a: Int, ds: Array[Int], out: Array[Double]): Unit = { rows += 1; c.subRow(a, ds, out) }
+  }
+
+  test("searchBelow == search iff below the bound on the row kernel and the fused kernel (NetERP, NetEDR, SURS)") {
+    val r = new scala.util.Random(29)
+    var rows, full = 0L
+    for (seed <- 0 until 60) {
+      val (q, d) = bigNodePair(seed * 53 + 11)
+      val (qe, de) = bigEdgePair(seed * 59 + 13)
+      for ((fn, a, b) <- Seq((NetDist.netErp(big, center = 150), q, d), (NetDist.netErp(big, center = q.head), q, d),
+                             (NetDist.netEdr(big, eps = 1.2), q, d), (NetDist.surs(big), qe, de))) {
+        val opt = CMA.search(a, b, fn)
+        val counting = fn.costs match {
+          case c: RowCosts => new CountingRows(c)
+          case c           => fail(s"${fn.name} costs $c are not RowCosts")
+        }
+        val fused = WedFn(fn.name, new Counting(fn.costs))
+        for (bound <- Seq(Math.nextDown(opt.dist), opt.dist, Math.nextUp(opt.dist)) ++
+                      Seq.fill(4)(r.nextDouble() * 2 * opt.dist)) {
+          val want = if (opt.dist < bound) Some(opt) else None
+          counting.rows = 0
+          assert(CMA.searchBelow(a, b, WedFn(fn.name, counting), bound) == want, s"${fn.name} bound $bound")
+          assert(CMA.searchBelow(a, b, fused, bound) == want)
+          assert(CMA.searchBelow(a.toVector, b.toVector, fn, bound) == want)
+          rows += counting.rows; full += a.length
+        }
+      }
+    }
+    assert(rows < full, "no search stopped early")
+  }
+
+  test("searchBelow agrees with brute force under NetERP, NetEDR and SURS") {
+    for (seed <- 0 until 12) {
+      val (q, d) = bigNodePair(seed * 61 + 4)
+      val (qe, de) = bigEdgePair(seed * 67 + 8)
+      for ((fn, a, b) <- Seq((NetDist.netErp(big, center = q.head), q, d), (NetDist.netEdr(big, eps = 1.2), q, d),
+                             (NetDist.surs(big), qe, de))) {
+        val bf = BruteForce.search(a, b, fn).dist
+        val got = CMA.searchBelow(a, b, fn, bf + 1e-9)
+        assert(got.nonEmpty, fn.name)
+        TestGen.assertSameDist(got.get.dist, bf)
+        assert(CMA.searchBelow(a, b, fn, bf - 1e-9).isEmpty, fn.name)
+      }
+    }
+  }
+
   test("row kernel == fused kernel under NetERP when the gap node heads the query (a fresh-start window wins)") {
     for (seed <- 0 until 20) {
       val r = new scala.util.Random(seed)

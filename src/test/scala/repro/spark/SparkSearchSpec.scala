@@ -136,6 +136,44 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  // The default path runs CMA.searchBelow against each partition's own k-th
+  // best. Every hit must equal the unpruned driver loop's, bit for bit.
+  private lazy val driverData = local.toSeq.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
+
+  for (fn <- fns)
+    test(s"default path == TopK.cma hit for hit [${fn.name} k=1,3,10,N]") {
+      for (k <- Seq(1, 3, 10, spec.nData)) {
+        val got = SparkSearch.topKBatch(data, qs, fn, k)
+        val want = qs.map(q => TopK.cma(ArraySeq.unsafeWrapArray(q), driverData, k, fn))
+        assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k")
+      }
+    }
+
+  test("default path == TopK.cma hit for hit when distances tie across partitions") {
+    import spark.implicits._
+    // Each trajectory and a copy with id + 13, in the next of four
+    // partitions; each partition in ascending id order.
+    val all = local.toSeq ++ local.toSeq.map(t => t.copy(id = t.id + 13))
+    val parts = (0 until 4).map(p => all.filter(_.id % 4 == p).sortBy(_.id))
+    val tied = spark.sparkContext.parallelize(parts.flatten, 4).toDS()
+    assert(tied.rdd.glom().collect().map(_.map(_.id).toSeq).toSeq == parts.map(_.map(_.id)))
+    val driver = all.sortBy(_.id).map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
+    for (fn <- fns; k <- Seq(1, 3, 10, all.length)) {
+      val got = SparkSearch.topKBatch(tied, qs, fn, k)
+      val want = qs.map(q => TopK.cma(ArraySeq.unsafeWrapArray(q), driver, k, fn))
+      assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"${fn.name} k=$k")
+      if (k == 3) assert(got.forall(_.map(_.dist).distinct.length < 3), "copies tie")
+    }
+  }
+
+  test("a query with a non-finite coordinate is rejected on the driver") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val broken = q.updated(q.length / 2, Point(bad, q.head.y))
+      assertThrows[IllegalArgumentException](SparkSearch.topKBatch(data, Array(q, broken), Dist.dtw, 1))
+      assertThrows[IllegalArgumentException](SparkSearch.topK(data, q.updated(0, Point(q.head.x, bad)), Dist.erp(spec.erpCenter), 3))
+    }
+  }
+
   test("distributed topK with empty partitions == driver-side topK") {
     val spread = data.repartition(16)
     val sizes = spread.rdd.mapPartitions(it => Iterator.single(it.size)).collect()
