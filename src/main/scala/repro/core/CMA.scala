@@ -19,10 +19,12 @@ final case class SubtrajResult(start: Int, end: Int, dist: Double) {
   * `τq[1]`'s match, i.e. the start of the subtrajectory. By Theorems 4.1/4.2
   * the answer is `min_j C[m][j]` with start `s[m][argmin]`.
   *
-  * With non-negative costs no later row can undercut a finished row's
-  * bound (DESIGN.md §3): `min_j C[i][j]` for DTW/FD, `min(min_j C[i][j],
-  * del(q[1:i]))` for the WED family. [[searchBelow]] stops there once that
-  * bound reaches a threshold (the UCR suite's early abandoning).
+  * Every DP value is a sum (or, for FD, a max) of costs, so with
+  * non-negative costs no later row can undercut a finished row's bound,
+  * bit for bit (DESIGN.md §3): `min_j C[i][j]` for DTW/FD and
+  * `min(min_j C[i][j], del(q[1:i]))` for the WED family. [[searchBelow]]
+  * stops there once that bound reaches a threshold (the UCR suite's early
+  * abandoning).
   */
 object CMA {
 
@@ -64,22 +66,25 @@ object CMA {
    * share the cell update below.
    */
 
-  /** Eq. 7 — WED family. Row `i` is computed from row `i-1` plus the
-    * in-row `ins`-chain term `C[i][j-1] + ins(d[j-1]) - sub(q[i], d[j-1]) +
-    * sub(q[i], d[j])`, which folds `min_{k<j-1} C[i-1][k] + ins(d[k+1:j-1])`
-    * into a single O(1) transition.
+  /** Eq. 7 — WED family, from sums of costs only. Row `i` is computed from
+    * row `i-1` and an insertion gap carried along the row: `gap_j =
+    * min(C[i-1][j-1], gap_{j-1} + ins(d[j-1]))`, `gap_1 = +inf`, is the
+    * cheapest conversion of `q[1:i-1]` that matched some `d[k]`, `k < j`,
+    * followed by the insertion of `d[k+1:j-1]`. The paper's ins-chain term
+    * reaches the same minimum by subtracting a `sub` it added, which needs
+    * `del(x) + ins(y) >= sub(x, y)` and can round below a finished row; the
+    * gap never subtracts (DESIGN.md §3).
     *
     * Each cost is evaluated once: `del(q[i])` per query point, `ins(d[j])`
     * per data point (both before the row loop) and `sub(q[i], d[j])` per
-    * cell, carried one column for the `ins`-chain term — m·n `sub`, n `ins`
-    * and m `del` calls in all.
+    * cell — m·n `sub`, n `ins` and m `del` calls in all.
     */
   private def searchWed[T](q: IndexedSeq[T], d: IndexedSeq[T], c: WedCosts[T], bound: Double): SubtrajResult = {
     val m = q.length; val n = d.length
     val (delQ, delPrefix, insD) = indels(q, d, c)
-    var prevC = new Array[Double](n + 1) // C[i-1][*], 1-based in j
-    var curC  = new Array[Double](n + 1)
-    var prevS = new Array[Int](n + 1)    // start index s[i-1][*]
+    var prevC = gapRow(n)             // C[i-1][*], 1-based in j
+    var curC  = gapRow(n)
+    var prevS = new Array[Int](n + 1) // start index s[i-1][*]
     var curS  = new Array[Int](n + 1)
 
     // i = 1: C[1][j] = sub(q1, dj), s[1][j] = j
@@ -88,24 +93,16 @@ object CMA {
 
     var i = 2
     while (i <= m) {
-      if (abandoned(curC, n, delPrefix(i - 1), bound) &&
-          abandoned(curC, n, delPrefix(i - 1), wedStop(bound, n, delQ, insD))) return null
+      if (abandoned(curC, n, delPrefix(i - 1), bound)) return null
       val t = prevC; prevC = curC; curC = t
       val ts = prevS; prevS = curS; curS = ts
       val qi = q(i - 1)
       val delQi = delQ(i); val freshTail = delPrefix(i - 1)
-      var subPrev = c.sub(qi, d(0)) // sub(qi, d[j-1]) for the next column j
-      firstColumn(prevC, curC, prevS, curS, delQi, freshTail, subPrev)
-      j = 2
-      while (j <= n) {
-        val subJ = c.sub(qi, d(j - 1))
-        cell(prevC, curC, prevS, curS, j, delQi, freshTail, insD(j - 1), subPrev, subJ)
-        subPrev = subJ
-        j += 1
-      }
+      j = 1
+      while (j <= n) { cell(prevC, curC, prevS, curS, j, delQi, freshTail, insD(j), c.sub(qi, d(j - 1))); j += 1 }
       i += 1
     }
-    argmin(curC, curS, n)
+    wedArgmin(curC, curS, n, delPrefix(m), insD)
   }
 
   /** Eq. 7 over [[RowCosts]]: `searchWed`'s recurrence and `del`/`ins`
@@ -120,8 +117,8 @@ object CMA {
       case _                 => d.toArray
     }
     val (delQ, delPrefix, insD) = indels(q, d, c)
-    var prevC = new Array[Double](n + 1)
-    var curC  = new Array[Double](n + 1)
+    var prevC = gapRow(n)
+    var curC  = gapRow(n)
     var prevS = new Array[Int](n + 1)
     var curS  = new Array[Int](n + 1)
     val sub   = new Array[Double](n + 1) // sub(q[i], d[*]), 1-based in j
@@ -132,21 +129,16 @@ object CMA {
 
     var i = 2
     while (i <= m) {
-      if (abandoned(curC, n, delPrefix(i - 1), bound) &&
-          abandoned(curC, n, delPrefix(i - 1), wedStop(bound, n, delQ, insD))) return null
+      if (abandoned(curC, n, delPrefix(i - 1), bound)) return null
       val t = prevC; prevC = curC; curC = t
       val ts = prevS; prevS = curS; curS = ts
       c.subRow(q(i - 1), ds, sub)
       val delQi = delQ(i); val freshTail = delPrefix(i - 1)
-      firstColumn(prevC, curC, prevS, curS, delQi, freshTail, sub(1))
-      j = 2
-      while (j <= n) {
-        cell(prevC, curC, prevS, curS, j, delQi, freshTail, insD(j - 1), sub(j - 1), sub(j))
-        j += 1
-      }
+      j = 1
+      while (j <= n) { cell(prevC, curC, prevS, curS, j, delQi, freshTail, insD(j), sub(j)); j += 1 }
       i += 1
     }
-    argmin(curC, curS, n)
+    wedArgmin(curC, curS, n, delPrefix(m), insD)
   }
 
   /** `del(q[i])`, `del(q[1:i])` (1-based in i) and `ins(d[j])` (1-based in j). */
@@ -163,45 +155,52 @@ object CMA {
     (delQ, delPrefix, insD)
   }
 
-  /** Eq. 7 at `j = 1`, row `i >= 2`: delete `q[i]` (`q[i-1]` also matched
-    * `d[1]`), or substitute `q[i]` for `d[1]` (`sub1`) after deleting the
-    * whole query prefix `q[1:i-1]` (`freshTail`).
-    */
-  private def firstColumn(prevC: Array[Double], curC: Array[Double], prevS: Array[Int], curS: Array[Int],
-                          delQi: Double, freshTail: Double, sub1: Double): Unit = {
-    val a1 = prevC(1) + delQi
-    val b1 = sub1 + freshTail
-    if (a1 <= b1) { curC(1) = a1; curS(1) = prevS(1) }
-    else          { curC(1) = b1; curS(1) = 1 }
+  /** A WED row, 1-based in j. Slot 0 holds `gap_1 = +inf` for [[cell]]. */
+  private def gapRow(n: Int): Array[Double] = {
+    val a = new Array[Double](n + 1)
+    a(0) = Double.PositiveInfinity
+    a
   }
 
-  /** Eq. 7 at `j >= 2`, row `i >= 2`: `C[i][j]` and its start `s[i][j]`,
-    * given `insPrev = ins(d[j-1])`, `subPrev = sub(q[i], d[j-1])` and
-    * `subJ = sub(q[i], d[j])`.
+  /** Eq. 7 at row `i >= 2`, column `j`: `C[i][j]` and its start `s[i][j]`,
+    * given `insJ = ins(d[j])` and `subJ = sub(q[i], d[j])`. Either `q[i]` is
+    * deleted after `C[i-1][j]`, or it is substituted for `d[j]` after the
+    * gap, or after deleting the whole query prefix `q[1:i-1]` (`freshTail`).
+    *
+    * Row `i-1` turns into the gap row as the cells advance: on entry
+    * `prevC(j-1)`/`prevS(j-1)` hold `gap_j` and its start, and on exit
+    * `prevC(j)`/`prevS(j)` hold `gap_{j+1}`, once `C[i-1][j]` is read.
     */
   private def cell(prevC: Array[Double], curC: Array[Double], prevS: Array[Int], curS: Array[Int], j: Int,
-                   delQi: Double, freshTail: Double, insPrev: Double, subPrev: Double, subJ: Double): Unit = {
-    val delB = prevC(j) + delQi                           // delete qi
-    val insB = curC(j - 1) + insPrev - subPrev + subJ     // ins-chain
-    val subB = prevC(j - 1) + subJ                        // substitute
-    // Fresh-start branch: delete the query prefix q[1:i-1] and open the
-    // window at d[j]. Eq. 7 writes this only for j = 1, which loses the
-    // optimum when deleting the query head is cheaper than substituting
-    // it and the best window starts mid-trajectory (e.g. under ERP); the
-    // generalization keeps O(1) per cell and restores agreement with
-    // min-window WED (which ExactS computes). See DESIGN.md §3.
-    val freshB = subJ + freshTail
-    var best = delB; var src = 0
-    if (insB < best) { best = insB; src = 1 }
-    if (subB < best) { best = subB; src = 2 }
-    if (freshB < best) { best = freshB; src = 3 }
-    curC(j) = best
-    curS(j) = src match {
-      case 0 => prevS(j)
-      case 1 => curS(j - 1)
-      case 2 => prevS(j - 1)
-      case _ => j
-    }
+                   delQi: Double, freshTail: Double, insJ: Double, subJ: Double): Unit = {
+    val gap = prevC(j - 1)
+    val delB = prevC(j) + delQi
+    // Fresh start: delete the query prefix q[1:i-1] and open the window at
+    // d[j]. Eq. 7 writes this only for j = 1, which loses the optimum when
+    // deleting the query head is cheaper than substituting it and the best
+    // window starts mid-trajectory (e.g. under ERP); the generalization keeps
+    // O(1) per cell and restores agreement with min-window WED (which ExactS
+    // computes). See DESIGN.md §3.
+    val fresh = freshTail < gap
+    val subB = (if (fresh) freshTail else gap) + subJ
+    if (subB < delB) { curC(j) = subB; curS(j) = if (fresh) j else prevS(j - 1) }
+    else             { curC(j) = delB; curS(j) = prevS(j) }
+    val chain = gap + insJ
+    if (chain <= prevC(j)) { prevC(j) = chain; prevS(j) = prevS(j - 1) }
+  }
+
+  /** The WED optimum: the cheapest cell of the last row, or the window that
+    * substitutes nothing (delete all of `q`, insert the cheapest `d[j]`) if
+    * that is strictly cheaper. The DP matches at least one pair; matching
+    * none wins only under a model with `del(x) + ins(y) < sub(x, y)`, or by
+    * rounding.
+    */
+  private def wedArgmin(c: Array[Double], s: Array[Int], n: Int, delAll: Double, insD: Array[Double]): SubtrajResult = {
+    val best = argmin(c, s, n)
+    var bj = 1; var j = 2
+    while (j <= n) { if (insD(j) < insD(bj)) bj = j; j += 1 }
+    val none = delAll + insD(bj)
+    if (none < best.dist) SubtrajResult(bj, bj, none) else best
   }
 
   /** Eq. 8 (DTW, `frechet=false`) and Eq. 9 (FD, `frechet=true`): both share
@@ -252,34 +251,17 @@ object CMA {
   }
 
   /** Whether finished row `c` proves every later cell, and so the optimum,
-    * `>= stop`: both its smallest cell and `floor` reach `stop`. `floor` is
-    * the cheapest fresh start of any later row, `del(q[1:i])`, for the WED
-    * family and `+inf` for DTW/FD. `stop = +inf` or NaN never abandons.
+    * `>= bound`: both its smallest cell and `floor` reach `bound`. `floor` is
+    * `del(q[1:i])` for the WED family, which no later fresh start and no
+    * window that substitutes nothing undercuts, and `+inf` for DTW/FD.
+    * `bound = +inf` or NaN never abandons.
     */
-  private def abandoned(c: Array[Double], n: Int, floor: Double, stop: Double): Boolean =
-    stop < Double.PositiveInfinity && floor >= stop && {
+  private def abandoned(c: Array[Double], n: Int, floor: Double, bound: Double): Boolean =
+    bound < Double.PositiveInfinity && floor >= bound && {
       var mn = c(1); var j = 2
       while (j <= n) { if (c(j) < mn) mn = c(j); j += 1 }
-      mn >= stop
+      mn >= bound
     }
-
-  /** The WED kernels' `stop` for `bound`: `bound` plus the most the
-    * ins-chain's subtract-then-add can round a later cell below a finished
-    * row's bound. Along any DP path at most `n - 1` ins-chain steps follow,
-    * each rounding three times by at most half an ulp of a value below
-    * `bound + max del + 2 max ins` (DESIGN.md §3); `stop` doubles that.
-    * The kernels work it out only once a row bound reaches `bound`: worked
-    * out before the row loop, even behind a branch, it slowed the unbounded
-    * fused kernel under ERP from 2.0 to 2.26 ns/cell (JDK 17 C2).
-    */
-  private def wedStop(bound: Double, n: Int, delQ: Array[Double], insD: Array[Double]): Double =
-    bound + 3.0 * n * Math.ulp(1.0) * (bound + largest(delQ) + 2 * largest(insD))
-
-  private def largest(a: Array[Double]): Double = {
-    var mx = 0.0; var k = 0
-    while (k < a.length) { if (a(k) > mx) mx = a(k); k += 1 }
-    mx
-  }
 
   private def argmin(c: Array[Double], s: Array[Int], n: Int): SubtrajResult = {
     var bj = 1; var bd = c(1)

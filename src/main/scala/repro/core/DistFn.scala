@@ -4,12 +4,10 @@ package repro.core
   * (of a query point) and insertion (of a data point). EDR, ERP, NetEDR,
   * NetERP and SURS are instances (paper §5.3, Appendix D).
   *
-  * CMA's `ins`-chain shortcut (Eq. 7) assumes the triangle-type inequality
-  * `del(x) + ins(y) >= sub(x, y)`, and `CMA.searchBelow`'s row bound also
-  * non-negative costs; all shipped instances satisfy both.
-  *
-  * Costs must be pure: CMA evaluates each `sub` once per DP cell, `ins` once
-  * per data point and `del` once per query point, and reuses the values.
+  * Costs must be pure and non-negative. CMA evaluates each `sub` once per
+  * DP cell, `ins` once per data point and `del` once per query point, and
+  * reuses the values; `CMA.searchBelow`'s row bound needs every cost
+  * `>= 0`. No relation between the three costs is assumed (DESIGN.md §3).
   * A model whose `sub` is a table lookup by integer id can also implement
   * [[RowCosts]], which CMA then reads one DP row at a time.
   */

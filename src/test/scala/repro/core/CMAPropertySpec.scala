@@ -24,7 +24,14 @@ class CMAPropertySpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
-  for (fn <- TestGen.pointFns)
+  // WED3 and WEDF break `del(x) + ins(y) >= sub(x, y)`: dear substitutions,
+  // and (WEDF) free insertions, under which matching no point wins.
+  private val violating: Seq[DistFn[Point]] = Seq(
+    TestGen.wedCustom[Point]("WED3", (a, b) => 3 * a.distTo(b), _ => 0.1, _ => 0.1),
+    TestGen.wedCustom[Point]("WEDF", (a, b) => 1.0 + a.distTo(b), _ => 0.2, _ => 0.0),
+  )
+
+  for (fn <- TestGen.pointFns ++ violating)
     test(s"property: CMA == brute force and interval is achievable [${fn.name}]") {
       check(Prop.forAll(genQuery, genTraj) { (q, d) =>
         val cma = CMA.search(q, d, fn)

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 /** `CMA.searchBelow`: `Some(search(q, d, fn))` iff its distance is below the
@@ -33,26 +34,55 @@ class SearchBelowSpec extends AnyFunSuite {
     }
 
   /** `fn` with its `sub` calls counted into `calls(0)`. */
-  private def counted(fn: DistFn[Point], calls: Array[Long]): DistFn[Point] = fn match {
-    case WedFn(nm, c) => WedFn(nm, new WedCosts[Point] {
-      def sub(a: Point, b: Point): Double = { calls(0) += 1; c.sub(a, b) }
-      def del(a: Point): Double = c.del(a)
-      def ins(b: Point): Double = c.ins(b)
+  private def counted[T](fn: DistFn[T], calls: Array[Long]): DistFn[T] = fn match {
+    case WedFn(nm, c) => WedFn(nm, new WedCosts[T] {
+      def sub(a: T, b: T): Double = { calls(0) += 1; c.sub(a, b) }
+      def del(a: T): Double = c.del(a)
+      def ins(b: T): Double = c.ins(b)
     })
-    case DtwFn(nm, s)     => DtwFn(nm, (a: Point, b: Point) => { calls(0) += 1; s(a, b) })
-    case FrechetFn(nm, s) => FrechetFn(nm, (a: Point, b: Point) => { calls(0) += 1; s(a, b) })
+    case DtwFn(nm, s)     => DtwFn(nm, (a: T, b: T) => { calls(0) += 1; s(a, b) })
+    case FrechetFn(nm, s) => FrechetFn(nm, (a: T, b: T) => { calls(0) += 1; s(a, b) })
+  }
+
+  /** [[RowCosts]] whose `subRow` gathers `sub`, with its calls (DP rows)
+    * counted.
+    */
+  private abstract class CountedRows extends RowCosts {
+    var rows = 0L
+    def subRow(a: Int, ds: Array[Int], out: Array[Double]): Unit = {
+      rows += 1
+      var j = 0
+      while (j < ds.length) { out(j + 1) = sub(a, ds(j)); j += 1 }
+    }
+  }
+
+  /** EDR over integer ids on a line: ids within 1 of each other match. */
+  private final class LineEdr extends CountedRows {
+    def sub(a: Int, b: Int): Double = if (math.abs(a - b) <= 1) 0.0 else 1.0
+    def del(a: Int): Double = 1.0
+    def ins(b: Int): Double = 1.0
   }
 
   test("searchBelow stops after the first row whose bound reaches the threshold") {
     val r = new Random(4)
     val d = TestGen.randPoints(r, 30)
     val q = IndexedSeq.fill(8)(Point(20 + r.nextDouble(), 20 + r.nextDouble())) // > 26 from every d point
-    // DTW: row 1 alone proves the optimum >= 10. ERP: so do row 1 and
+    // DTW, FD: row 1 alone proves the optimum >= 10. ERP: so do row 1 and
     // del(q1), with the gap point far from q too.
-    for (fn <- Seq(Dist.dtw, Dist.erp(Point(40, 40)))) {
+    for (fn <- Seq(Dist.dtw, Dist.fd, Dist.erp(Point(40, 40)))) {
       val calls = Array(0L)
       assert(CMA.searchBelow(q, d, counted(fn, calls), 10.0).isEmpty)
       assert(calls(0) == d.length, fn.name)
+    }
+    // EDR: no q point matches, so row i's bound is exactly i, and a row
+    // bound equal to the threshold stops the search at that row.
+    for (b <- Seq(1, 3)) {
+      val calls = Array(0L)
+      assert(CMA.searchBelow(q, d, counted(Dist.edr(0.3), calls), b.toDouble).isEmpty)
+      assert(calls(0) == b * d.length, s"EDR bound $b")
+      val line = new LineEdr
+      assert(CMA.searchBelow(IndexedSeq.range(100, 108), IndexedSeq.range(0, 30), WedFn("LineEDR", line), b.toDouble).isEmpty)
+      assert(line.rows == b, s"LineEDR bound $b")
     }
     // A gap point among the query points makes deleting the query head
     // cheap: del(q[1:i]) stays below 10, so no row can stop the search.
@@ -93,7 +123,7 @@ class SearchBelowSpec extends AnyFunSuite {
   }
 
   // Cheap insertions and dear deletions (del + ins = 1.1 >= sub): a query
-  // that skips points of its window is matched along the ins-chain.
+  // that skips points of its window is matched across inserted gaps.
   test("searchBelow under custom WED when the ins-chain wins") {
     val fn = TestGen.wedCustom[Point]("WEDI", (a, b) => math.min(a.distTo(b), 1.1), _ => 1.0, _ => 0.1)
     for (seed <- 0 until 20) {
@@ -109,10 +139,9 @@ class SearchBelowSpec extends AnyFunSuite {
     }
   }
 
-  // The ins-chain subtracts sub(q2, d2) = 0.4 ulp(1) from C[2][2], into
-  // which adding it had rounded away: C[2][3] = 1 - 2^-53, below row 1's
-  // bound min(1.0, del(q1) = 10). A check that stopped once a row bound
-  // reached 1.0 would answer None here (DESIGN.md §3).
+  // Costs of a few ulps of 1.0, which vanish when added to 1.0. Row 1's
+  // bound is 1.0; the window [1, 3] (q1 -> d1, insert d2, q2 -> d3) costs
+  // exactly 1.0, and [1, 2] rounds to it: C[2][2] = fl(1.0 + tiny) = 1.0.
   private val tiny = 0.4 * Math.ulp(1.0)
   private val dip = WedFn("dip", new WedCosts[Int] {
     def sub(a: Int, b: Int): Double = (a, b) match {
@@ -125,15 +154,54 @@ class SearchBelowSpec extends AnyFunSuite {
     def ins(b: Int): Double = 0.0
   })
 
-  test("the ins-chain rounds below a finished row's bound, and searchBelow still keeps the answer") {
+  test("ulp-scale WED costs: a row bound equal to the threshold stops") {
     val q = IndexedSeq(0, 1); val d = IndexedSeq(10, 11, 12)
-    for (x <- q; y <- d) assert(dip.costs.del(x) + dip.costs.ins(y) >= dip.costs.sub(x, y))
     val full = CMA.search(q, d, dip)
-    assert(full == SubtrajResult(1, 3, Math.nextDown(1.0)))
-    assert(CMA.searchBelow(q, d, dip, 1.0).contains(full))
-    assert(CMA.searchBelow(q, d, dip, full.dist).isEmpty)
+    assert(full.dist == 1.0 && full.start == 1)
+    val calls = Array(0L)
+    assert(CMA.searchBelow(q, d, counted(dip, calls), 1.0).isEmpty)
+    assert(calls(0) == d.length)
+    assert(CMA.searchBelow(q, d, dip, Math.nextUp(1.0)).contains(full))
     assert(CMA.search(q, IndexedSeq(10, 12), dip).dist == 1.0)
   }
+
+  /** Random ulp-scale WED over ids `0 until 6` as [[RowCosts]]: `sub` is 0,
+    * a few `tiny`, 1.0 or 1.0 plus an ulp or two, so sums round; `del(a)`
+    * is at least every `sub(a, _)`, so `del + ins >= sub` holds.
+    */
+  private def ulpCosts(r: Random): RowCosts = {
+    val subT = Array.fill(6, 6)(r.nextInt(4) match {
+      case 0 => 0.0
+      case 1 => r.nextInt(4) * tiny
+      case 2 => 1.0
+      case _ => 1.0 + r.nextInt(3) * Math.ulp(1.0)
+    })
+    val delT = subT.map(row => row.max + r.nextInt(2) * tiny)
+    val insT = Array.fill(6)(r.nextInt(3) * tiny)
+    new CountedRows {
+      def sub(a: Int, b: Int): Double = subT(a)(b)
+      def del(a: Int): Double = delT(a)
+      def ins(b: Int): Double = insT(b)
+    }
+  }
+
+  for (kernel <- Seq("row", "fused"); seed <- 0 until 12)
+    test(s"searchBelow == search iff below the bound, and brute force agrees [ulp WED $kernel kernel seed=$seed]") {
+      val r = new Random(seed + 40)
+      for (_ <- 0 until 20) {
+        val c = ulpCosts(r)
+        val fn = WedFn[Int]("ulpWED", if (kernel == "row") c else new WedCosts[Int] {
+          def sub(a: Int, b: Int): Double = c.sub(a, b)
+          def del(a: Int): Double = c.del(a)
+          def ins(b: Int): Double = c.ins(b)
+        })
+        val q = ArraySeq.fill(1 + r.nextInt(6))(r.nextInt(6))
+        val d = ArraySeq.fill(1 + r.nextInt(12))(r.nextInt(6))
+        val full = CMA.search(q, d, fn)
+        TestGen.assertSameDist(full.dist, BruteForce.search(q, d, fn).dist)
+        for (b <- bounds(full.dist, r)) assertBelow(q, d, fn, b)
+      }
+    }
 
   private def db(seed: Int, n: Int): Seq[(Long, IndexedSeq[Point])] = {
     val r = new Random(seed)
@@ -152,11 +220,23 @@ class SearchBelowSpec extends AnyFunSuite {
       }
     }
 
+  // Trajectory 0's optimum is 0.5 + 0.5 = 1.0; trajectory 1's is 0.5 +
+  // (1 - 2^-53 - 0.5) = 1 - 2^-53, both exact sums.
+  private val halves = WedFn("halves", new WedCosts[Int] {
+    def sub(a: Int, b: Int): Double = (a, b) match {
+      case (0, 10) | (0, 20) | (1, 12) => 0.5
+      case (1, 21)                     => Math.nextDown(1.0) - 0.5
+      case _                           => 10.0
+    }
+    def del(a: Int): Double = 10.0
+    def ins(b: Int): Double = 10.0
+  })
+
   test("TopK.searchBelow keeps a hit one ulp under the k-th best") {
-    val data = Seq(0L -> IndexedSeq(10, 12), 1L -> IndexedSeq(10, 11, 12))
-    val want = TopK.cma(IndexedSeq(0, 1), data, 1, dip)
-    assert(want.toSeq == Seq(TopK.Hit(1, 1, 3, Math.nextDown(1.0))))
-    assert(TopK.searchBelow(IndexedSeq(0, 1), data, 1, below(dip)).toSeq == want.toSeq)
+    val data = Seq(0L -> IndexedSeq(10, 12), 1L -> IndexedSeq(20, 21))
+    val want = TopK.cma(IndexedSeq(0, 1), data, 1, halves)
+    assert(want.toSeq == Seq(TopK.Hit(1, 1, 2, Math.nextDown(1.0))))
+    assert(TopK.searchBelow(IndexedSeq(0, 1), data, 1, below(halves)).toSeq == want.toSeq)
   }
 
   test("TopK.searchBelow hands the search the gate's k-th best") {

@@ -30,8 +30,8 @@ object TestGen {
   }
 
   /** The point-space distance functions exercised by the property suites.
-    * All satisfy the `del + ins >= sub` triangle-type condition CMA's Eq. 7
-    * relies on (DESIGN.md §3).
+    * All satisfy the triangle-type `del + ins >= sub`; CMAPropertySpec adds
+    * models that break it.
     */
   val pointFns: Seq[DistFn[Point]] = Seq(
     Dist.dtw,

@@ -177,7 +177,7 @@ class RoadNetworkSpec extends AnyFunSuite {
   }
 
   /** A random subsequence of `d` (each element kept with probability 0.6,
-    * at least one): matching it needs insertions, so the ins-chain term wins.
+    * at least one): matching it needs insertions, so a gap term wins.
     */
   private def thinned(d: Array[Int], r: scala.util.Random): Array[Int] = {
     val kept = d.filter(_ => r.nextDouble() < 0.6)
