@@ -12,7 +12,6 @@ object Table3Job {
     // spark-submit supplies spark.master; fall back to local[*] for runMain.
     val builder = SparkSession.builder()
       .appName("repro-table3")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
     val spark = (if (sys.props.contains("spark.master")) builder
                  else builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")))
       .getOrCreate()

@@ -8,8 +8,7 @@ import scala.util.Random
   * interface and qualitative behaviour are what matter for this paper's
   * comparison, not the function approximator).
   */
-final class QTable(val nStates: Int, val nActions: Int,
-                   alpha: Double = 0.2, gamma: Double = 0.95) extends Serializable {
+final class QTable(val nStates: Int, val nActions: Int) extends Serializable {
   val q: Array[Array[Double]] = Array.ofDim[Double](nStates, nActions)
 
   def bestAction(s: Int): Int = {
@@ -26,7 +25,12 @@ final class QTable(val nStates: Int, val nActions: Int,
   def update(s: Int, a: Int, reward: Double, s2: Int, terminal: Boolean): Unit = {
     val target =
       if (terminal) reward
-      else reward + gamma * q(s2)(bestAction(s2))
-    q(s)(a) += alpha * (target - q(s)(a))
+      else reward + QTable.Gamma * q(s2)(bestAction(s2))
+    q(s)(a) += QTable.Alpha * (target - q(s)(a))
   }
+}
+
+object QTable {
+  private final val Alpha = 0.2  // learning rate
+  private final val Gamma = 0.95 // discount
 }

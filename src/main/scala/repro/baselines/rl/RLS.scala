@@ -86,15 +86,18 @@ object RLS {
     SubtrajResult(bestS, bestT, bestD)
   }
 
+  /** Training passes over the pairs; pass `e` explores with probability 0.4 / (e + 1). */
+  private final val Epochs = 3
+
   /** Train a policy on `pairs` of (query, data) trajectories. Deterministic
     * in `seed`.
     */
   def train[T](pairs: Seq[(IndexedSeq[T], IndexedSeq[T])], fn: DistFn[T],
-               skip: Boolean, epochs: Int = 3, seed: Long = 7): Policy = {
+               skip: Boolean, seed: Long): Policy = {
     val p = Policy(new QTable(NStates, if (skip) 3 else 2), skip)
     val rnd = new Random(seed)
     var e = 0
-    while (e < epochs) {
+    while (e < Epochs) {
       val eps = 0.4 / (e + 1)
       for ((q, d) <- pairs) run(q, d, fn, p, rnd, eps)
       e += 1

@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.baselines.rl.RLS
 import repro.core._
+import repro.network.NetTrajGen
 import repro.pruning.Pruner
 import repro.spark.SparkSearch
 
@@ -150,7 +151,8 @@ object Harness {
   final case class Table4Row(algo: Algo, fn: String, exponent: Double, times: Seq[(Int, Double)])
 
   /** Empirically validate the complexity claims of Table 4: measure per-pair
-    * time vs data length `n` (fixed `m`) and fit the log-log slope. O(mn)
+    * time vs data length `n` (fixed `m`) on road-network walks (`NetTrajGen`,
+    * the workloads' generator) and fit the log-log slope. O(mn)
     * algorithms should show slope ≈ 1, ExactS ≈ 2. The linear algorithms run
     * on 8× larger inputs than ExactS (same fit validity) so their per-pair
     * times rise above timer noise.
@@ -159,7 +161,7 @@ object Harness {
              reps: Int = 5): Seq[Table4Row] = {
     val spec = TrajGenSpec(lenMin = 1, lenMax = 1, width = 20, height = 20, stepKm = 0.1)
     def trajOf(n: Int, id: Long): IndexedSeq[Point] =
-      ArraySeq.unsafeWrapArray(TrajGen.gen(id, spec.copy(lenMin = n, lenMax = n), 99).points)
+      ArraySeq.unsafeWrapArray(NetTrajGen.gen(id, spec.copy(lenMin = n, lenMax = n), 99).points)
     val qSmall = trajOf(m, 1000)     // ExactS: m·n²/2 cells is already slow
     val qBig   = trajOf(m * 5, 1001) // linear algos: lift m·n above timer noise
 

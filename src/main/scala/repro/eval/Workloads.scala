@@ -85,11 +85,24 @@ object Workloads {
     }
   }
 
-  /** A random query-length subsegment of `src`, perturbed by `TrajGen.perturb`. */
+  /** A random query-length subsegment of `src`, perturbed by `perturb`. */
   private def perturbedWindow(spec: DatasetSpec, src: Array[Point], r: Random): Array[Point] = {
     val qLen = math.min(spec.qLenMin + r.nextInt(spec.qLenMax - spec.qLenMin + 1), src.length)
     val start = r.nextInt(src.length - qLen + 1)
-    TrajGen.perturb(src.slice(start, start + qLen), sigma = spec.gen.stepKm * 0.25,
+    perturb(src.slice(start, start + qLen), sigma = spec.gen.stepKm * 0.25,
       outlierProb = 0.12, outlierDist = spec.gen.stepKm * 6.0, r = r)
   }
+
+  /** Perturb `pts` with Gaussian noise of std `sigma`, replacing each point
+    * with probability `outlierProb` by a point displaced by `outlierDist`
+    * (a synthetic GPS glitch — keeps EDR optima strictly positive).
+    */
+  private[eval] def perturb(pts: Array[Point], sigma: Double,
+                            outlierProb: Double, outlierDist: Double, r: Random): Array[Point] =
+    pts.map { p =>
+      if (r.nextDouble() < outlierProb) {
+        val a = r.nextDouble() * 2 * math.Pi
+        Point(p.x + outlierDist * math.cos(a), p.y + outlierDist * math.sin(a))
+      } else Point(p.x + r.nextGaussian() * sigma, p.y + r.nextGaussian() * sigma)
+    }
 }

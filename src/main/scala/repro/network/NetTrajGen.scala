@@ -4,12 +4,13 @@ import repro.core.{Traj, TrajGenSpec}
 
 import scala.util.Random
 
-/** Road-constrained trajectory generator: a walk on the (deterministic)
-  * city-sized grid network, resampled to per-point spacing `stepKm` with
-  * small GPS jitter. Unlike the free random walk of [[repro.core.TrajGen]],
-  * trajectories share corridors — the multi-modal "several similar windows
-  * in different trajectories" structure of real taxi data that the paper's
-  * approximate baselines struggle with (Table 2).
+/** The trajectory generator of every workload and of Table 4: a walk on
+  * the (deterministic) city-sized grid network, resampled to per-point
+  * spacing `stepKm` with small GPS jitter. `gen(id, spec, seed)` is a pure
+  * function of its arguments, so driver-side and executor-side generation
+  * agree exactly. Trajectories share corridors — the multi-modal "several
+  * similar windows in different trajectories" structure of real taxi data
+  * that the paper's approximate baselines struggle with (Table 2).
   */
 object NetTrajGen {
 

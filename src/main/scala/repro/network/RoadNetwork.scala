@@ -123,7 +123,7 @@ object RoadNetwork {
   /** `w × h` grid graph with cell spacing `cell` km; node positions and edge
     * weights are jittered deterministically in `seed`. Bidirectional edges.
     */
-  def grid(w: Int, h: Int, cell: Double, seed: Long = 42): RoadNetwork = {
+  def grid(w: Int, h: Int, cell: Double, seed: Long): RoadNetwork = {
     val r = new Random(seed)
     val n = w * h
     val xs = new Array[Double](n); val ys = new Array[Double](n)

@@ -31,14 +31,11 @@ object SparkSearch {
       f(it.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])).toVector).iterator
     }.collect()
 
-  /** Global top-K hits for query `q` under `fn`: `topKBatch` with a batch
-    * of one.
+  /** Global top-K hits for query `q` under `fn`, unpruned and searched by
+    * CMA: `topKBatch` with a batch of one and its defaults.
     */
-  def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int,
-           params: Option[Pruner.Params] = None,
-           searchOne: Option[(IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult] = None
-          ): Array[TopK.Hit] =
-    topKBatch(data, Array(q), fn, k, params, searchOne).head
+  def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int): Array[TopK.Hit] =
+    topKBatch(data, Array(q), fn, k).head
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
     * one job: each partition keeps a local top-K per query over the

@@ -15,8 +15,8 @@ class ApproxSpec extends AnyFunSuite {
   private lazy val policies: Map[String, (RLS.Policy, RLS.Policy)] = {
     val pairs = (0 until 5).map(s => TestGen.randPair(s + 900, mMax = 6, nMax = 16))
     TestGen.pointFns.map { fn =>
-      fn.name -> (RLS.train(pairs, fn, skip = false, epochs = 2, seed = 1),
-                  RLS.train(pairs, fn, skip = true, epochs = 2, seed = 2))
+      fn.name -> (RLS.train(pairs, fn, skip = false, seed = 1),
+                  RLS.train(pairs, fn, skip = true, seed = 2))
     }.toMap
   }
 
@@ -72,8 +72,8 @@ class ApproxSpec extends AnyFunSuite {
 
   test("RLS training is deterministic in the seed") {
     val pairs = (0 until 3).map(s => TestGen.randPair(s + 950, mMax = 5, nMax = 12))
-    val p1 = RLS.train(pairs, Dist.dtw, skip = false, epochs = 2, seed = 5)
-    val p2 = RLS.train(pairs, Dist.dtw, skip = false, epochs = 2, seed = 5)
+    val p1 = RLS.train(pairs, Dist.dtw, skip = false, seed = 5)
+    val p2 = RLS.train(pairs, Dist.dtw, skip = false, seed = 5)
     assert(p1.table.q.map(_.toSeq).toSeq == p2.table.q.map(_.toSeq).toSeq)
   }
 

@@ -2,8 +2,13 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.TestGen
 
-/** Workload generation: dataset specs, query derivation, training pairs. */
+import scala.util.Random
+
+/** Workload generation: dataset specs, query derivation and perturbation,
+  * training pairs.
+  */
 class WorkloadsSpec extends AnyFunSuite with SparkSpec {
 
   test("dataLocal is deterministic and matches the Spark Dataset") {
@@ -32,6 +37,20 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
       assert(p.x > -5 && p.x < spec.gen.width + 5)
       assert(p.y > -5 && p.y < spec.gen.height + 5)
     }
+  }
+
+  test("perturb preserves length and is deterministic per Random seed") {
+    val pts = Workloads.dataLocal(Workloads.tiny)(1).points
+    val p1 = Workloads.perturb(pts, 0.05, 0.1, 1.0, new Random(7))
+    val p2 = Workloads.perturb(pts, 0.05, 0.1, 1.0, new Random(7))
+    assert(p1.length == pts.length)
+    assert(p1.toSeq == p2.toSeq)
+  }
+
+  test("perturb with zero noise and zero outliers is the identity") {
+    val pts = Workloads.dataLocal(Workloads.tiny)(2).points
+    val p = Workloads.perturb(pts, 0.0, 0.0, 1.0, new Random(1))
+    for ((a, b) <- p.zip(pts)) TestGen.assertSameDist(a.distTo(b), 0.0)
   }
 
   test("training pairs are disjoint from evaluation data and queries") {

@@ -18,6 +18,10 @@ class NetTrajGenSpec extends AnyFunSuite {
     assert(NetTrajGen.gen(1L, spec, 5).xs.toSeq != NetTrajGen.gen(2L, spec, 5).xs.toSeq)
   }
 
+  test("different seeds differ") {
+    assert(NetTrajGen.gen(1L, spec, 5).xs.toSeq != NetTrajGen.gen(1L, spec, 6).xs.toSeq)
+  }
+
   for (id <- 0 until 8)
     test(s"length within spec and points near the network extent [id=$id]") {
       val t = NetTrajGen.gen(id.toLong, spec, 9)
@@ -30,7 +34,7 @@ class NetTrajGenSpec extends AnyFunSuite {
 
   test("consecutive spacing is close to stepKm on average") {
     val pts = NetTrajGen.gen(7L, spec, 9).points
-    val steps = pts.sliding(2).map { case Array(a, b) => a.distTo(b) }.toSeq
+    val steps = pts.sliding(2).map(w => w(0).distTo(w(1))).toSeq
     val mean = steps.sum / steps.size
     assert(mean > spec.stepKm * 0.3 && mean < spec.stepKm * 3.0, s"mean spacing $mean")
   }

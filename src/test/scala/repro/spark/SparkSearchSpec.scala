@@ -59,8 +59,8 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   test("topK over every trajectory with ExactS agrees with CMA distances") {
     val fn = Dist.fd
     val a = allHits(fn)
-    val b = SparkSearch.topK(data, q, fn, spec.nData,
-      searchOne = Some((x: IndexedSeq[Point], y: IndexedSeq[Point]) => ExactS.search(x, y, fn))).sortBy(_.trajId)
+    val b = SparkSearch.topKBatch(data, Array(q), fn, spec.nData,
+      searchOne = Some((x: IndexedSeq[Point], y: IndexedSeq[Point]) => ExactS.search(x, y, fn))).head.sortBy(_.trajId)
     assert(a.length == spec.nData && b.length == spec.nData)
     for ((x, y) <- a.zip(b)) {
       assert(x.trajId == y.trajId)
@@ -83,7 +83,7 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   for (fn <- fns)
     test(s"distributed topK with Table-3 pruning == driver Pruner.search [${fn.name}]") {
       val params = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05)
-      val got = SparkSearch.topK(data, q, fn, 1, Some(params))
+      val got = SparkSearch.topKBatch(data, Array(q), fn, 1, Some(params)).head
       val want = Pruner.search(q, local.map(t => (t.id, t.points)), fn, params,
         (a, b) => CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn))
       assert(got.map(_.dist).toSeq == want.map(_.dist).toSeq)
@@ -92,14 +92,14 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   test("distributed topK applies the pruning params in every partition") {
     // close(τq, τd) <= m, so mu = 2 lets no trajectory through GBP.
     val shut = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 2.0)
-    assert(SparkSearch.topK(data, q, Dist.dtw, 3, Some(shut)).isEmpty)
+    assert(SparkSearch.topKBatch(data, Array(q), Dist.dtw, 3, Some(shut)).head.isEmpty)
   }
 
   // No GBP and KPF at r = 1: Theorem B.1 makes every prune sound, for any k.
   for (fn <- fns; k <- Seq(1, 3, 5))
     test(s"distributed topK with safe pruning == unpruned TopK.cma [${fn.name} k=$k]") {
       val params = Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false)
-      val got = SparkSearch.topK(data, q, fn, k, Some(params))
+      val got = SparkSearch.topKBatch(data, Array(q), fn, k, Some(params)).head
       val want = TopK.cma(ArraySeq.unsafeWrapArray(q),
         local.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])), k, fn)
       assert(got.length == want.length)
@@ -202,7 +202,7 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     test(s"topKBatch == one topK per query [${fn.name} k=$k $mode]") {
       val batch = SparkSearch.topKBatch(data, qs, fn, k, params)
       assert(batch.length == qs.length)
-      assert(batch.map(_.toSeq).toSeq == qs.map(q => SparkSearch.topK(data, q, fn, k, params).toSeq).toSeq)
+      assert(batch.map(_.toSeq).toSeq == qs.map(q => SparkSearch.topKBatch(data, Array(q), fn, k, params).head.toSeq).toSeq)
     }
 
   // ------------------------------------------------------------------
