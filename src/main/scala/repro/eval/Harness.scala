@@ -91,7 +91,8 @@ object Harness {
       val byFn    = cells.zipWithIndex.groupBy(_._1.fn).toSeq
       // Keyed by cell index; each group keeps partition order for its sums.
       val evals = SparkSearch.eachPartition(Workloads.data(spark, spec)) { trajs =>
-        for ((_, d) <- trajs.iterator; q <- queries.iterator; (fn, fnCells) <- byFn.iterator;
+        for (t <- trajs.iterator; d = ArraySeq.unsafeWrapArray(t.points);
+             q <- queries.iterator; (fn, fnCells) <- byFn.iterator;
              all = ExactS.allDistances(q, d, fn); (cell, c) <- fnCells.iterator)
           yield (c, Metrics.evaluate(cell.search(q, d), all))
       }.toSeq.groupMap(_._1)(_._2)

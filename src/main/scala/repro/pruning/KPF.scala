@@ -18,8 +18,9 @@ import repro.core._
   * query over `d`, built once per call, instead of scanning all n points.
   * The grid returns the scan's minimum bit for bit, so every estimate, and
   * every pruning decision made from it, is the scan's. A custom WED scans.
-  * KPF is typed on `Point`, as is `Pruner.gate`, its one caller: the
-  * road-network functions never reach it.
+  * KPF is typed on `Point`, as are its callers, `Pruner.gate` and
+  * `SparkSearch.topKBatch`'s box gate: the road-network functions never
+  * reach it.
   */
 object KPF {
 
@@ -48,30 +49,74 @@ object KPF {
   }
 
   /** Sampled estimate `minCost_e` (Eq. 28): `1/r`-scaled for sum-type
-    * functions, plain max for FD. Summing (maxing) stops once the value that
-    * would be returned reaches `stopAt`; costs are non-negative, so the
-    * partial value never decreases and `estimate(.., stopAt) >= stopAt`
-    * exactly when the full estimate is, and below `stopAt` the two are equal.
+    * functions, plain max for FD, stopped at `stopAt` as [[combine]] is.
     */
   def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
                stopAt: Double = Double.PositiveInfinity): Double = {
     val idx = keyPointIdx(q.length, r)
     val minCost = (if (idx.length >= GridMinKeys) gridMinCost(d, fn) else None)
       .getOrElse((qi: Point) => pointMinCost(qi, d, fn))
+    combine(fn, q.length, idx.length, stopAt)(k => minCost(q(idx(k))))
+  }
+
+  /** Theorem B.1 at r = 1, with `min_j sub(q[i], d[j])` replaced by the
+    * distance from `q[i]` to `d`'s bounding box `[minX, maxX] × [minY,
+    * maxY]`, for DTW, FD, ERP and EDR; 0 for every other function. Each box
+    * distance is `<=` every `q[i].distTo(d[j])` bit for bit, as rounding is
+    * monotone (DESIGN.md §3), so the bound is `<=` [[estimate]] at r = 1.
+    */
+  def boxBound(q: IndexedSeq[Point], fn: DistFn[Point], minX: Double, maxX: Double,
+               minY: Double, maxY: Double, stopAt: Double): Double = {
+    val box = new Nearest {
+      def nearest(qx: Double, qy: Double): Double = {
+        val dx = math.max(0.0, math.max(qx - maxX, minX - qx))
+        val dy = math.max(0.0, math.max(qy - maxY, minY - qy))
+        math.sqrt(dx * dx + dy * dy)
+      }
+      def within(qx: Double, qy: Double, eps: Double): Boolean = nearest(qx, qy) <= eps
+    }
+    euclidTerm(fn).fold(0.0) { term =>
+      val t = term(box)
+      combine(fn, q.length, q.length, stopAt)(i => t(q(i)))
+    }
+  }
+
+  /** Theorem B.1's combination of `n` terms `term(k)` of an `m`-point query:
+    * their max for FD, else their sum scaled by `m / n`, but not at `n = m`,
+    * where `sum * m / m` can round an ulp above the sum and the optimum. It
+    * stops once the value that would be returned reaches `stopAt`; terms are
+    * non-negative, so the result is `>= stopAt` exactly when the full one
+    * is, and below `stopAt` the two are equal.
+    */
+  private def combine(fn: DistFn[Point], m: Int, n: Int, stopAt: Double)(term: Int => Double): Double =
     fn match {
       case FrechetFn(_, _) =>
         var mx = 0.0; var k = 0
-        while (k < idx.length && mx < stopAt) {
-          val c = minCost(q(idx(k))); if (c > mx) mx = c; k += 1
-        }
+        while (k < n && mx < stopAt) { val c = term(k); if (c > mx) mx = c; k += 1 }
         mx
       case _ =>
+        def scaled(s: Double) = if (n == m) s else s * m / n
         var sum = 0.0; var k = 0
-        while (k < idx.length && sum * q.length / idx.length < stopAt) {
-          sum += minCost(q(idx(k))); k += 1
-        }
-        sum * q.length / idx.length
+        while (k < n && scaled(sum) < stopAt) { sum += term(k); k += 1 }
+        scaled(sum)
     }
+
+  /** Distances to a trajectory's points: exact ([[PointGrid]]) or a lower bound (a box). */
+  private[pruning] trait Nearest {
+    def nearest(qx: Double, qy: Double): Double
+    def within(qx: Double, qy: Double, eps: Double): Boolean
+  }
+
+  /** Theorem B.1's per-point term `min(del(p), min_j sub(p, d[j]))` from a
+    * [[Nearest]] on `d`, for the four point functions with Euclidean
+    * sub-costs; `None` for every other function. A `Nearest` that bounds
+    * the distances from below bounds the term from below.
+    */
+  private def euclidTerm(fn: DistFn[Point]): Option[Nearest => Point => Double] = fn match {
+    case DtwFn(_, Euclid) | FrechetFn(_, Euclid) => Some(n => p => n.nearest(p.x, p.y))
+    case WedFn(_, c @ ErpCosts(_))               => Some(n => p => math.min(c.del(p), n.nearest(p.x, p.y)))
+    case WedFn(_, EdrCosts(eps))                 => Some(n => p => if (n.within(p.x, p.y, eps)) 0.0 else 1.0)
+    case _                                       => None
   }
 
   /** `pointMinCost(·, d, fn)` through a [[PointGrid]] over `d`, bit-equal to
@@ -79,17 +124,6 @@ object KPF {
     * for every other function and when `d` has a coordinate that is not
     * finite.
     */
-  private[pruning] def gridMinCost(d: IndexedSeq[Point], fn: DistFn[Point]): Option[Point => Double] = {
-    def grid = PointGrid(d)
-    fn match {
-      case DtwFn(_, Euclid) | FrechetFn(_, Euclid) =>
-        grid.map(g => p => g.nearest(p.x, p.y))
-      case WedFn(_, c @ ErpCosts(_)) =>
-        grid.map(g => p => math.min(c.del(p), g.nearest(p.x, p.y)))
-      case WedFn(_, EdrCosts(eps)) =>
-        // The scan's min(del = 1, min_j sub) with sub in {0, 1}.
-        grid.map(g => p => if (g.within(p.x, p.y, eps)) 0.0 else 1.0)
-      case _ => None
-    }
-  }
+  private[pruning] def gridMinCost(d: IndexedSeq[Point], fn: DistFn[Point]): Option[Point => Double] =
+    for (term <- euclidTerm(fn); g <- PointGrid(d)) yield term(g)
 }

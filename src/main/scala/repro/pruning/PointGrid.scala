@@ -21,7 +21,7 @@ import repro.core.Point
   * answered by scanning all points.
   */
 final class PointGrid private (ox: Double, oy: Double, cell: Double, nx: Int, ny: Int,
-                               start: Array[Int], xs: Array[Double], ys: Array[Double]) {
+                               start: Array[Int], xs: Array[Double], ys: Array[Double]) extends KPF.Nearest {
 
   /** `min_j distTo` over the points. */
   def nearest(qx: Double, qy: Double): Double = walk(qx, qy, Double.NaN)

@@ -6,7 +6,7 @@ import scala.collection.immutable.ArraySeq
 
 /** Algorithm 3's pruning cascade over a database of data trajectories — GBP
   * gate, then KPF lower-bound gate against the incumbent, then the search
-  * algorithm itself. The incumbent loop is `TopK.search`; this object
+  * algorithm itself. The incumbent loop is `TopK.searchBelow`; this object
   * supplies the gate. Generic in the search algorithm so the efficiency
   * table can run every baseline through the identical cascade (as the paper
   * does for Table 3).

@@ -2,17 +2,18 @@ package repro.spark
 
 import org.apache.spark.sql.Dataset
 import repro.core._
-import repro.pruning.Pruner
+import repro.pruning.{KPF, Pruner}
 
 import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
 
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
-  * every partition runs the shared top-K loop (`TopK.searchBelow`,
-  * optionally behind Algorithm 3's GBP→KPF gate) once per query of the
-  * batch, and the driver merges the at most `K × partitions` hits per query
-  * by `(dist, trajId)` (`TopK.merge`), the order that loop itself uses.
+  * every partition runs the shared top-K loop (`TopK.searchBelow`, behind
+  * an exact bounding-box gate or Algorithm 3's GBP→KPF gate) once per query
+  * of the batch, and the driver merges the at most `K × partitions` hits
+  * per query by `(dist, trajId)` (`TopK.merge`), the order that loop itself
+  * uses.
   *
   * The query path builds no Catalyst plan: `Dataset.rdd` is a lazy val, so
   * the cached Dataset is planned once, on the first call, not once per
@@ -22,30 +23,28 @@ import scala.reflect.ClassTag
 object SparkSearch {
 
   /** One job that runs `f` once per partition of `data`, on that
-    * partition's trajectories as `(id, points)` in partition order, and
-    * collects what `f` returns, in partition order. Each trajectory's points
-    * are materialized once per job, however many queries `f` runs.
+    * partition's trajectories in partition order, and collects what `f`
+    * returns, in partition order.
     */
-  def eachPartition[A: ClassTag](data: Dataset[Traj])(f: Seq[(Long, IndexedSeq[Point])] => IterableOnce[A]): Array[A] =
-    data.rdd.mapPartitions { it =>
-      f(it.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])).toVector).iterator
-    }.collect()
+  def eachPartition[A: ClassTag](data: Dataset[Traj])(f: Seq[Traj] => IterableOnce[A]): Array[A] =
+    data.rdd.mapPartitions(it => f(it.toVector).iterator).collect()
 
-  /** Global top-K hits for query `q` under `fn`, unpruned and searched by
-    * CMA: `topKBatch` with a batch of one and its defaults.
+  /** Global top-K hits for query `q` under `fn`, searched by CMA behind the
+    * exact box gate: `topKBatch` with a batch of one and its defaults.
     */
   def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int): Array[TopK.Hit] =
     topKBatch(data, Array(q), fn, k).head
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
     * one job: each partition keeps a local top-K per query over the
-    * trajectories that query's `params` gate lets through (all of them by
-    * default). A caller's `searchOne` searches every such trajectory in
-    * full. By default CMA does, below the partition's current k-th best
-    * (`CMA.searchBelow`): it stops a trajectory's DP once a finished row
-    * proves the trajectory cannot enter the local top K, which leaves every
-    * hit unchanged. A query with no point or a non-finite coordinate is
-    * rejected on the driver.
+    * trajectories its gate lets through, searched by `searchOne`, or by
+    * default by `CMA.searchBelow` below the partition's k-th best. The gate
+    * is `Pruner.gate` under `params`; without, it is exact: once k hits are
+    * held it cuts a trajectory whose `KPF.boxBound` reaches the k-th best,
+    * and only a trajectory that passes has its points built. The box pass
+    * rejects an empty data trajectory and a non-finite data coordinate; a
+    * query with no point or a non-finite coordinate is rejected on the
+    * driver.
     */
   def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int,
                 params: Option[Pruner.Params] = None,
@@ -60,14 +59,38 @@ object SparkSearch {
       case None    => (a, b, kth) => CMA.searchBelow(a, b, fn, kth)
     }
     val locals = eachPartition(data) { trajs =>
-      Iterator.single(qs.map { q =>
-        val qi = ArraySeq.unsafeWrapArray(q)
-        params match {
-          case Some(p) => TopK.searchBelow(qi, trajs, k, search, Pruner.gate(q, fn, p))
-          case None    => TopK.searchBelow(qi, trajs, k, search)
-        }
+      Iterator.single(params match {
+        case Some(p) =>
+          val ds = trajs.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
+          qs.map(q => TopK.searchBelow(ArraySeq.unsafeWrapArray(q), ds, k, search, Pruner.gate(q, fn, p)))
+        case None =>
+          val ds = trajs.map(t => (t.id, new Boxed(t)))
+          qs.map { q =>
+            val qi = ArraySeq.unsafeWrapArray(q)
+            TopK.searchBelow(qi, ds, k, (a: IndexedSeq[Point], b: Boxed, kth: Double) => search(a, b.points, kth),
+              boxGate(qi, fn))
+          }
       })
     }
     Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))
+  }
+
+  /** The default gate: once k hits are held, pass while `KPF.boxBound` < the k-th best. */
+  private[spark] def boxGate(q: IndexedSeq[Point], fn: DistFn[Point]): (Boxed, Double) => Boolean =
+    (b, kth) => kth == Double.PositiveInfinity || KPF.boxBound(q, fn, b.minX, b.maxX, b.minY, b.maxY, kth) < kth
+
+  /** A trajectory's bounding box, from one pass over `xs`/`ys`, and its
+    * points, built on first use.
+    */
+  private[spark] final class Boxed(t: Traj) {
+    require(t.length > 0, "data trajectories must not be empty")
+    var minX, minY = Double.PositiveInfinity
+    var maxX, maxY = Double.NegativeInfinity
+    for (i <- 0 until t.length) { // math.min and math.max keep a NaN
+      minX = math.min(minX, t.xs(i)); maxX = math.max(maxX, t.xs(i))
+      minY = math.min(minY, t.ys(i)); maxY = math.max(maxY, t.ys(i))
+    }
+    require(minX.isFinite && maxX.isFinite && minY.isFinite && maxY.isFinite, "data coordinates must be finite")
+    lazy val points: IndexedSeq[Point] = ArraySeq.unsafeWrapArray(t.points)
   }
 }

@@ -33,11 +33,12 @@ object ScanOracles {
         }
         mx
       case _ =>
+        def scaled(s: Double) = if (idx.length == q.length) s else s * q.length / idx.length
         var sum = 0.0; var k = 0
-        while (k < idx.length && sum * q.length / idx.length < stopAt) {
+        while (k < idx.length && scaled(sum) < stopAt) {
           sum += KPF.pointMinCost(q(idx(k)), d, fn); k += 1
         }
-        sum * q.length / idx.length
+        scaled(sum)
     }
   }
 

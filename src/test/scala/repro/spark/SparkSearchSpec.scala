@@ -166,6 +166,69 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  // Xi'an trajectories and a copy of each, id + 101, in the next of four
+  // partitions: the k-th best soon falls, and the box gate fires.
+  for (fn <- Workloads.distFns(Workloads.xian))
+    test(s"default path == TopK.cma hit for hit where the box gate fires [${fn.name} k=1,3,10]") {
+      import spark.implicits._
+      val xian = Workloads.xian.copy(nData = 100)
+      val orig = Workloads.dataLocal(xian).toSeq
+      val all = orig ++ orig.map(t => t.copy(id = t.id + 101))
+      val parts = (0 until 4).map(p => all.filter(_.id % 4 == p).sortBy(_.id))
+      val tied = spark.sparkContext.parallelize(parts.flatten, 4).toDS()
+      assert(tied.rdd.glom().collect().map(_.map(_.id).toSeq).toSeq == parts.map(_.map(_.id)))
+      val driver = all.sortBy(_.id).map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
+      val xqs = Workloads.queries(xian)
+      var (examined, cut) = (0, 0)
+      for (k <- Seq(1, 3, 10)) {
+        val got = SparkSearch.topKBatch(tied, xqs, fn, k)
+        val want = xqs.map(q => TopK.cma(ArraySeq.unsafeWrapArray(q), driver, k, fn))
+        assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k")
+        if (k == 3) assert(got.exists(_.map(_.dist).distinct.length < 3), "copies tie")
+        // Each partition's loop again through the gate the tasks use,
+        // counting the trajectories it examines and those it cuts.
+        var passed = 0
+        for (part <- parts; q <- xqs.map(ArraySeq.unsafeWrapArray(_))) {
+          val gate = SparkSearch.boxGate(q, fn)
+          TopK.searchBelow(q, part.map(t => (t.id, new SparkSearch.Boxed(t))), k,
+            (a: IndexedSeq[Point], b: SparkSearch.Boxed, kth: Double) => CMA.searchBelow(a, b.points, fn, kth),
+            (b: SparkSearch.Boxed, kth: Double) => {
+              val pass = gate(b, kth)
+              examined += 1; if (pass) passed += 1 else cut += 1
+              pass
+            })
+        }
+        // The tasks search exactly the trajectories the replay let through.
+        val searched = spark.sparkContext.longAccumulator
+        val counted = SparkSearch.topKBatch(tied, xqs, fn, k, searchOne = Some {
+          (a: IndexedSeq[Point], b: IndexedSeq[Point]) => searched.add(1); CMA.search(a, b, fn)
+        })
+        assert(counted.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k searchOne")
+        assert(searched.sum == passed, s"k=$k: the tasks searched ${searched.sum}, the replay passed $passed")
+      }
+      assert(cut * 2 >= examined, s"the box cut $cut of $examined")
+    }
+
+  test("the box pass rejects an empty trajectory and a non-finite coordinate in the data") {
+    import spark.implicits._
+    val k = 3
+    // The bad trajectory comes after the first k of its partition, where a
+    // gate that accepted its box would already cut against the k-th best.
+    val good = local.take(2 * k)
+    val bad = Seq(Traj(99L, Array.empty, Array.empty)) ++
+      Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).flatMap { v =>
+        val t = good.head.copy(id = 99L)
+        Seq(t.copy(xs = t.xs.updated(t.length / 2, v)), t.copy(ys = t.ys.updated(t.length - 1, v)))
+      }
+    for (b <- bad; fn <- fns) {
+      val ds = spark.sparkContext.parallelize(good.toSeq :+ b, 1).toDS()
+      val e = intercept[Exception](SparkSearch.topKBatch(ds, Array(q), fn, k))
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), s"${fn.name}: $e")
+      assert(e.getMessage.contains(if (b.length == 0) "must not be empty" else "must be finite"), e.getMessage)
+    }
+  }
+
   test("a query with a non-finite coordinate is rejected on the driver") {
     for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
       val broken = q.updated(q.length / 2, Point(bad, q.head.y))
