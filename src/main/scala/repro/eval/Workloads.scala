@@ -43,12 +43,6 @@ object Workloads {
     gen = TrajGenSpec(lenMin = 2000, lenMax = 3000, width = 49.8, height = 42.1, stepKm = 0.20),
     qLenMin = 100, qLenMax = 200, nQueries = 2, edrEps = 0.40, seed = 13)
 
-  /** Tiny spec for unit tests. */
-  val tiny: DatasetSpec = DatasetSpec(
-    name = "Tiny", nData = 12,
-    gen = TrajGenSpec(lenMin = 15, lenMax = 30, width = 10.0, height = 10.0, stepKm = 0.2),
-    qLenMin = 5, qLenMax = 8, nQueries = 2, edrEps = 0.4, seed = 3)
-
   /** Distance functions evaluated in Tables 2/3 for a dataset. */
   def distFns(spec: DatasetSpec): Seq[DistFn[Point]] =
     Seq(Dist.dtw, Dist.edr(spec.edrEps), Dist.erp(spec.erpCenter), Dist.fd)

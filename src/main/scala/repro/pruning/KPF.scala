@@ -18,9 +18,9 @@ import repro.core._
   * query over `d`, built once per call, instead of scanning all n points.
   * The grid returns the scan's minimum bit for bit, so every estimate, and
   * every pruning decision made from it, is the scan's. A custom WED scans.
-  * KPF is typed on `Point`, as are its callers, `Pruner.gate` and
-  * `SparkSearch.topKBatch`'s box gate: the road-network functions never
-  * reach it.
+  * KPF is typed on `Point`, as are its callers, `Pruner.gate` (the driver
+  * and Table 3's partitions) and `SparkSearch.topKBatch`'s box gate
+  * (`boxBound`): the road-network functions never reach it.
   */
 object KPF {
 

@@ -57,6 +57,8 @@ object Pruner {
   /** Best hit over `data` for query `q` using `searchOne` on survivors: the
     * k = 1 case of `TopK.search` behind `gate`. The first unpruned trajectory
     * seeds the incumbent; afterwards KPF prunes against its distance.
+    * `Harness.table3` runs it in each Spark partition, over that partition's
+    * trajectories.
     */
   def search(q: Array[Point], data: Iterable[(Long, Array[Point])], fn: DistFn[Point],
              params: Params,

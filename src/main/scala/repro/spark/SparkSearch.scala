@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.Dataset
 import repro.core._
-import repro.pruning.{KPF, Pruner}
+import repro.pruning.KPF
 
 import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
@@ -10,10 +10,12 @@ import scala.reflect.ClassTag
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
   * every partition runs the shared top-K loop (`TopK.searchBelow`, behind
-  * an exact bounding-box gate or Algorithm 3's GBP→KPF gate) once per query
-  * of the batch, and the driver merges the at most `K × partitions` hits
-  * per query by `(dist, trajId)` (`TopK.merge`), the order that loop itself
-  * uses.
+  * an exact bounding-box gate, with `CMA.searchBelow`) once per query of the
+  * batch, and the driver merges the at most `K × partitions` hits per query
+  * by `(dist, trajId)` (`TopK.merge`), the order that loop itself uses.
+  * Every hit equals the unpruned `TopK.cma`'s. Table 3's heuristic GBP→KPF
+  * gate is not on this path: `Harness.table3` runs `Pruner.search` in each
+  * partition over `eachPartition`.
   *
   * The query path builds no Catalyst plan: `Dataset.rdd` is a lazy val, so
   * the cached Dataset is planned once, on the first call, not once per
@@ -30,52 +32,38 @@ object SparkSearch {
     data.rdd.mapPartitions(it => f(it.toVector).iterator).collect()
 
   /** Global top-K hits for query `q` under `fn`, searched by CMA behind the
-    * exact box gate: `topKBatch` with a batch of one and its defaults.
+    * exact box gate: `topKBatch` with a batch of one.
     */
   def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int): Array[TopK.Hit] =
     topKBatch(data, Array(q), fn, k).head
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
-    * one job: each partition keeps a local top-K per query over the
-    * trajectories its gate lets through, searched by `searchOne`, or by
-    * default by `CMA.searchBelow` below the partition's k-th best. The gate
-    * is `Pruner.gate` under `params`; without, it is exact: once k hits are
-    * held it cuts a trajectory whose `KPF.boxBound` reaches the k-th best,
-    * and only a trajectory that passes has its points built. The box pass
-    * rejects an empty data trajectory and a non-finite data coordinate; a
-    * query with no point or a non-finite coordinate is rejected on the
-    * driver.
+    * one job: each partition keeps a local top-K per query, searched by
+    * `CMA.searchBelow` below the partition's k-th best, over the trajectories
+    * the exact box gate lets through: once k hits are held it cuts a
+    * trajectory whose `KPF.boxBound` reaches the k-th best, and only a
+    * trajectory that passes has its points built. The box pass rejects an
+    * empty data trajectory, `xs` and `ys` of unequal lengths and a non-finite
+    * data coordinate; a query with no point or a non-finite coordinate is
+    * rejected on the driver.
     */
-  def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int,
-                params: Option[Pruner.Params] = None,
-                searchOne: Option[(IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult] = None
-               ): Array[Array[TopK.Hit]] = {
+  def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int): Array[Array[TopK.Hit]] = {
     require(k >= 1, "k must be >= 1")
     require(qs.nonEmpty, "the query batch must not be empty")
     require(qs.forall(_.nonEmpty), "queries must not be empty")
     require(qs.forall(_.forall(p => p.x.isFinite && p.y.isFinite)), "query coordinates must be finite")
-    val search: (IndexedSeq[Point], IndexedSeq[Point], Double) => Option[SubtrajResult] = searchOne match {
-      case Some(s) => (a, b, _) => Some(s(a, b))
-      case None    => (a, b, kth) => CMA.searchBelow(a, b, fn, kth)
-    }
     val locals = eachPartition(data) { trajs =>
-      Iterator.single(params match {
-        case Some(p) =>
-          val ds = trajs.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
-          qs.map(q => TopK.searchBelow(ArraySeq.unsafeWrapArray(q), ds, k, search, Pruner.gate(q, fn, p)))
-        case None =>
-          val ds = trajs.map(t => (t.id, new Boxed(t)))
-          qs.map { q =>
-            val qi = ArraySeq.unsafeWrapArray(q)
-            TopK.searchBelow(qi, ds, k, (a: IndexedSeq[Point], b: Boxed, kth: Double) => search(a, b.points, kth),
-              boxGate(qi, fn))
-          }
+      val ds = trajs.map(t => (t.id, new Boxed(t)))
+      Iterator.single(qs.map { q =>
+        val qi = ArraySeq.unsafeWrapArray(q)
+        TopK.searchBelow(qi, ds, k, (a: IndexedSeq[Point], b: Boxed, kth: Double) => CMA.searchBelow(a, b.points, fn, kth),
+          boxGate(qi, fn))
       })
     }
     Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))
   }
 
-  /** The default gate: once k hits are held, pass while `KPF.boxBound` < the k-th best. */
+  /** The gate: once k hits are held, pass while `KPF.boxBound` < the k-th best. */
   private[spark] def boxGate(q: IndexedSeq[Point], fn: DistFn[Point]): (Boxed, Double) => Boolean =
     (b, kth) => kth == Double.PositiveInfinity || KPF.boxBound(q, fn, b.minX, b.maxX, b.minY, b.maxY, kth) < kth
 
@@ -84,6 +72,7 @@ object SparkSearch {
     */
   private[spark] final class Boxed(t: Traj) {
     require(t.length > 0, "data trajectories must not be empty")
+    require(t.xs.length == t.ys.length, "data trajectories must have as many ys as xs")
     var minX, minY = Double.PositiveInfinity
     var maxX, maxY = Double.NegativeInfinity
     for (i <- 0 until t.length) { // math.min and math.max keep a NaN

@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TestGen
 import repro.eval.Workloads
 
 /** Self-test of the DuckDB oracle on trajectory tables: it accepts an
@@ -10,7 +11,7 @@ import repro.eval.Workloads
   */
 class OracleSmokeSpec extends AnyFunSuite with SparkSpec {
 
-  private lazy val trajs = Workloads.data(spark, Workloads.tiny).cache()
+  private lazy val trajs = Workloads.data(spark, TestGen.tiny).cache()
 
   /** One row per trajectory: its id and point count. */
   private lazy val lengths: DataFrame =

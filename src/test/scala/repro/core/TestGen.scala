@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.eval.DatasetSpec
+
 import scala.util.Random
 
 /** Shared generators for the randomized correctness suites: small random
@@ -66,6 +68,14 @@ object TestGen {
       def del(a: T): Double = delF(a)
       def ins(b: T): Double = insF(b)
     })
+
+  /** A workload small enough for unit tests: 12 road-network trajectories
+    * of 15–30 points and 2 queries.
+    */
+  val tiny: DatasetSpec = DatasetSpec(
+    name = "Tiny", nData = 12,
+    gen = TrajGenSpec(lenMin = 15, lenMax = 30, width = 10.0, height = 10.0, stepKm = 0.2),
+    qLenMin = 5, qLenMax = 8, nQueries = 2, edrEps = 0.4, seed = 3)
 
   def assertSameDist(a: Double, b: Double, tol: Double = 1e-9): Unit =
     assert(math.abs(a - b) <= tol || (a.isInfinite && b.isInfinite),

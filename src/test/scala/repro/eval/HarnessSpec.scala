@@ -3,6 +3,8 @@ package repro.eval
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.baselines.ExactS
+import repro.core.TestGen
+import repro.pruning.Pruner
 
 import scala.collection.immutable.ArraySeq
 
@@ -11,7 +13,8 @@ import scala.collection.immutable.ArraySeq
   */
 class HarnessSpec extends AnyFunSuite with SparkSpec {
 
-  private lazy val t2 = Harness.table2(spark, Seq(Workloads.tiny))
+  private lazy val t2 = Harness.table2(spark, Seq(TestGen.tiny))
+  private lazy val t3 = Harness.table3(spark, Seq(TestGen.tiny))
 
   test("table2 emits one row per applicable (fn, algo)") {
     // 4 fns × 6 universal algos + Spring (DTW) + GB (FD)
@@ -36,7 +39,7 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("table2 equals a driver-side loop over every pair, function and algorithm") {
-    val spec = Workloads.tiny
+    val spec = TestGen.tiny
     val data = Workloads.dataLocal(spec).toSeq.map(t => ArraySeq.unsafeWrapArray(t.points))
     val queries = Workloads.queries(spec).toSeq.map(ArraySeq.unsafeWrapArray(_))
     val want = for (cell <- Harness.cells(spec)) yield {
@@ -65,15 +68,31 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("table3 on the tiny workload: every cell completes, exact algorithms agree") {
-    val rows = Harness.table3(spark, Seq(Workloads.tiny))
+    val rows = t3
     assert(rows.length == 4 * 6 + 1 + 1)
-    assert(rows.forall(r => r.seconds > 0 && r.dists.length == Workloads.tiny.nQueries))
+    assert(rows.forall(r => r.seconds > 0 && r.dists.length == TestGen.tiny.nQueries))
     for (fnName <- Seq("DTW", "EDR", "ERP", "FD")) {
       val exact = rows.filter(r => r.fn == fnName && r.algo.exact)
       assert(exact.nonEmpty)
       for (r <- exact; (d, want) <- r.dists.zip(exact.head.dists))
         assert(math.abs(d - want) < 1e-6, s"exact algorithms disagree under $fnName: $r vs ${exact.head}")
     }
+  }
+
+  // Each partition prunes against its own incumbent, and KPF at r = 0.05 is
+  // heuristic, so this agreement is a property of the tiny workload (no
+  // partition keeps a hit the driver's gate cut), not of every partitioning.
+  test("table3 equals a driver-side Pruner.search per query, cell by cell") {
+    val spec = TestGen.tiny
+    val data = Workloads.dataLocal(spec).toSeq.map(t => (t.id, t.points))
+    val params = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1)
+    val want = for (cell <- Harness.cells(spec)) yield
+      Harness.Table3Row(spec.name, cell.fn.name, cell.algo, 0.0, Workloads.queries(spec).toSeq.map { q =>
+        Pruner.search(q, data, cell.fn, params,
+          (a, b) => cell.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b)))
+          .fold(Double.PositiveInfinity)(_.dist)
+      })
+    assert(t3.map(_.copy(seconds = 0.0)) == want) // every double compared with ==
   }
 
   test("table4 empirical exponents: ExactS grows faster than CMA") {

@@ -12,7 +12,7 @@ import scala.util.Random
 class WorkloadsSpec extends AnyFunSuite with SparkSpec {
 
   test("dataLocal is deterministic and matches the Spark Dataset") {
-    val spec = Workloads.tiny
+    val spec = TestGen.tiny
     val local = Workloads.dataLocal(spec)
     val dist = Workloads.data(spark, spec).collect().sortBy(_.id)
     assert(local.length == spec.nData && dist.length == spec.nData)
@@ -23,7 +23,7 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("queries have the configured lengths and are deterministic") {
-    val spec = Workloads.tiny
+    val spec = TestGen.tiny
     val q1 = Workloads.queries(spec)
     val q2 = Workloads.queries(spec)
     assert(q1.length == spec.nQueries)
@@ -32,7 +32,7 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("queries stay near the generator bounding box") {
-    val spec = Workloads.tiny
+    val spec = TestGen.tiny
     for (q <- Workloads.queries(spec); p <- q) {
       assert(p.x > -5 && p.x < spec.gen.width + 5)
       assert(p.y > -5 && p.y < spec.gen.height + 5)
@@ -40,7 +40,7 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("perturb preserves length and is deterministic per Random seed") {
-    val pts = Workloads.dataLocal(Workloads.tiny)(1).points
+    val pts = Workloads.dataLocal(TestGen.tiny)(1).points
     val p1 = Workloads.perturb(pts, 0.05, 0.1, 1.0, new Random(7))
     val p2 = Workloads.perturb(pts, 0.05, 0.1, 1.0, new Random(7))
     assert(p1.length == pts.length)
@@ -48,13 +48,13 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("perturb with zero noise and zero outliers is the identity") {
-    val pts = Workloads.dataLocal(Workloads.tiny)(2).points
+    val pts = Workloads.dataLocal(TestGen.tiny)(2).points
     val p = Workloads.perturb(pts, 0.0, 0.0, 1.0, new Random(1))
     for ((a, b) <- p.zip(pts)) TestGen.assertSameDist(a.distTo(b), 0.0)
   }
 
   test("training pairs are disjoint from evaluation data and queries") {
-    val spec = Workloads.tiny
+    val spec = TestGen.tiny
     val pairs = Workloads.trainingPairs(spec, 3)
     assert(pairs.length == 3)
     val dataSet = Workloads.dataLocal(spec).map(_.xs.toSeq).toSet
@@ -71,7 +71,7 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("distFns covers the four Table-2 functions") {
-    val names = Workloads.distFns(Workloads.tiny).map(_.name)
+    val names = Workloads.distFns(TestGen.tiny).map(_.name)
     assert(names == Seq("DTW", "EDR", "ERP", "FD"))
   }
 }

@@ -120,7 +120,7 @@ class PointGridSpec extends AnyFunSuite {
       val out = new java.io.ObjectOutputStream(bytes); out.writeObject(a); out.close()
       new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
     }
-    for (spec <- Seq(Workloads.porto, Workloads.xian, Workloads.beijing, Workloads.tiny);
+    for (spec <- Seq(Workloads.porto, Workloads.xian, Workloads.beijing, TestGen.tiny);
          fn <- Workloads.distFns(spec); f <- Seq(fn, roundTrip(fn)))
       assert(KPF.gridMinCost(d, f).isDefined, s"${spec.name} ${fn.name} falls back to the scan")
     // KPF is typed on Point: network and char functions cannot reach the grid.

@@ -74,23 +74,6 @@ class PruningSpec extends AnyFunSuite {
       }
     }
 
-  /** `Pruner.gate` as it was before the early stop: the full KPF estimate. */
-  private def fullEstimateGate(q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
-                               stats: Pruner.Stats): TopK.Gate[Point] = {
-    val qCells = GBP.queryCells(q, params.eps)
-    (d, kth) => {
-      stats.examined += 1
-      if (params.useGBP && !GBP.passes(qCells, d, params.eps, params.mu)) {
-        stats.gbpPruned += 1; false
-      } else if (kth < Double.PositiveInfinity &&
-                 KPF.estimate(q.toIndexedSeq, d, fn, params.r) >= kth) {
-        stats.kpfPruned += 1; false
-      } else {
-        stats.searched += 1; true
-      }
-    }
-  }
-
   for (fn <- TestGen.pointFns.take(4); rate <- Seq(0.05, 1.0))
     test(s"gate with early-stopped KPF keeps hits and stats [${fn.name} r=$rate]") {
       var kpfPruned = 0
@@ -105,7 +88,7 @@ class PruningSpec extends AnyFunSuite {
         val got =
           if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
           else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
-        val want = TopK.search(q.toIndexedSeq, wrapped, k, search, fullEstimateGate(q, fn, params, wantStats))
+        val want = TopK.search(q.toIndexedSeq, wrapped, k, search, ScanOracles.gate(q, fn, params, wantStats))
         assert(got.toSeq == want.toSeq, s"seed=$seed k=$k")
         assert(gotStats == wantStats, s"seed=$seed k=$k")
         kpfPruned += wantStats.kpfPruned

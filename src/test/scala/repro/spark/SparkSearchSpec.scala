@@ -4,26 +4,25 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
-import repro.baselines.ExactS
 import repro.core._
 import repro.eval.Workloads
-import repro.pruning.{GBP, Pruner}
+import repro.pruning.GBP
 
 import scala.collection.immutable.ArraySeq
 
-/** Distributed search: the Spark dataflow must equal the driver-side loop,
-  * with and without the pruning gate, a batch must equal its single
+/** Distributed search: the Spark dataflow behind its exact box gate must
+  * equal the unpruned driver-side loop, a batch must equal its single
   * queries, and the driver merge is checked against DuckDB via the Oracle
   * (as is the GBP candidate set).
   */
 class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
-  private lazy val spec  = Workloads.tiny
+  private lazy val spec  = TestGen.tiny
   private lazy val data  = Workloads.data(spark, spec).cache()
   private lazy val local = Workloads.dataLocal(spec)
   private lazy val qs    = Workloads.queries(spec)
   private lazy val q     = qs.head
-  private val fns        = Workloads.distFns(Workloads.tiny)
+  private val fns        = Workloads.distFns(TestGen.tiny)
 
   private def localBest(fn: DistFn[Point]): Seq[(Long, SubtrajResult)] =
     local.toSeq.map(t => (t.id, CMA.search(ArraySeq.unsafeWrapArray(q), ArraySeq.unsafeWrapArray(t.points), fn)))
@@ -56,18 +55,6 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("topK over every trajectory with ExactS agrees with CMA distances") {
-    val fn = Dist.fd
-    val a = allHits(fn)
-    val b = SparkSearch.topKBatch(data, Array(q), fn, spec.nData,
-      searchOne = Some((x: IndexedSeq[Point], y: IndexedSeq[Point]) => ExactS.search(x, y, fn))).head.sortBy(_.trajId)
-    assert(a.length == spec.nData && b.length == spec.nData)
-    for ((x, y) <- a.zip(b)) {
-      assert(x.trajId == y.trajId)
-      TestGen.assertSameDist(x.dist, y.dist)
-    }
-  }
-
   for (k <- Seq(1, 3, 5))
     test(s"distributed topK == driver-side topK [k=$k]") {
       val fn = Dist.dtw
@@ -75,35 +62,6 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
       val want = localBest(fn).sortBy { case (id, r) => (r.dist, id) }.take(k)
       assert(got.length == want.length)
       for ((g, (_, w)) <- got.zip(want)) TestGen.assertSameDist(g.dist, w.dist)
-    }
-
-  // KPF at r = 0.05 is heuristic and each partition prunes against its own
-  // incumbent, so this agreement is a property of the tiny workload (KPF
-  // never overestimates its optimal trajectory), not of every partitioning.
-  for (fn <- fns)
-    test(s"distributed topK with Table-3 pruning == driver Pruner.search [${fn.name}]") {
-      val params = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05)
-      val got = SparkSearch.topKBatch(data, Array(q), fn, 1, Some(params)).head
-      val want = Pruner.search(q, local.map(t => (t.id, t.points)), fn, params,
-        (a, b) => CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn))
-      assert(got.map(_.dist).toSeq == want.map(_.dist).toSeq)
-    }
-
-  test("distributed topK applies the pruning params in every partition") {
-    // close(τq, τd) <= m, so mu = 2 lets no trajectory through GBP.
-    val shut = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 2.0)
-    assert(SparkSearch.topKBatch(data, Array(q), Dist.dtw, 3, Some(shut)).head.isEmpty)
-  }
-
-  // No GBP and KPF at r = 1: Theorem B.1 makes every prune sound, for any k.
-  for (fn <- fns; k <- Seq(1, 3, 5))
-    test(s"distributed topK with safe pruning == unpruned TopK.cma [${fn.name} k=$k]") {
-      val params = Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false)
-      val got = SparkSearch.topKBatch(data, Array(q), fn, k, Some(params)).head
-      val want = TopK.cma(ArraySeq.unsafeWrapArray(q),
-        local.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point])), k, fn)
-      assert(got.length == want.length)
-      for ((g, w) <- got.zip(want)) TestGen.assertSameDist(g.dist, w.dist)
     }
 
   test("k < 1 is rejected on the driver") {
@@ -136,7 +94,7 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  // The default path runs CMA.searchBelow against each partition's own k-th
+  // topKBatch runs CMA.searchBelow against each partition's own k-th
   // best. Every hit must equal the unpruned driver loop's, bit for bit.
   private lazy val driverData = local.toSeq.map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
 
@@ -186,25 +144,19 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
         assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k")
         if (k == 3) assert(got.exists(_.map(_.dist).distinct.length < 3), "copies tie")
         // Each partition's loop again through the gate the tasks use,
-        // counting the trajectories it examines and those it cuts.
-        var passed = 0
-        for (part <- parts; q <- xqs.map(ArraySeq.unsafeWrapArray(_))) {
+        // counting the trajectories it examines and those it cuts; merged,
+        // the replay's hits are the tasks'.
+        val replay = for (q <- xqs.map(ArraySeq.unsafeWrapArray(_))) yield TopK.merge(parts.toArray.flatMap { part =>
           val gate = SparkSearch.boxGate(q, fn)
           TopK.searchBelow(q, part.map(t => (t.id, new SparkSearch.Boxed(t))), k,
             (a: IndexedSeq[Point], b: SparkSearch.Boxed, kth: Double) => CMA.searchBelow(a, b.points, fn, kth),
             (b: SparkSearch.Boxed, kth: Double) => {
               val pass = gate(b, kth)
-              examined += 1; if (pass) passed += 1 else cut += 1
+              examined += 1; if (!pass) cut += 1
               pass
             })
-        }
-        // The tasks search exactly the trajectories the replay let through.
-        val searched = spark.sparkContext.longAccumulator
-        val counted = SparkSearch.topKBatch(tied, xqs, fn, k, searchOne = Some {
-          (a: IndexedSeq[Point], b: IndexedSeq[Point]) => searched.add(1); CMA.search(a, b, fn)
-        })
-        assert(counted.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k searchOne")
-        assert(searched.sum == passed, s"k=$k: the tasks searched ${searched.sum}, the replay passed $passed")
+        }, k)
+        assert(replay.map(_.toSeq).toSeq == got.map(_.toSeq).toSeq, s"k=$k replay")
       }
       assert(cut * 2 >= examined, s"the box cut $cut of $examined")
     }
@@ -215,17 +167,18 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     // The bad trajectory comes after the first k of its partition, where a
     // gate that accepted its box would already cut against the k-th best.
     val good = local.take(2 * k)
-    val bad = Seq(Traj(99L, Array.empty, Array.empty)) ++
+    val t = good.head.copy(id = 99L)
+    val bad = Seq(Traj(99L, Array.empty, Array.empty) -> "must not be empty") ++
+      Seq(t.copy(ys = t.ys.dropRight(1)), t.copy(ys = t.ys :+ 0.0)).map(_ -> "as many ys as xs") ++
       Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).flatMap { v =>
-        val t = good.head.copy(id = 99L)
-        Seq(t.copy(xs = t.xs.updated(t.length / 2, v)), t.copy(ys = t.ys.updated(t.length - 1, v)))
+        Seq(t.copy(xs = t.xs.updated(t.length / 2, v)), t.copy(ys = t.ys.updated(t.length - 1, v))).map(_ -> "must be finite")
       }
-    for (b <- bad; fn <- fns) {
+    for ((b, msg) <- bad; fn <- fns) {
       val ds = spark.sparkContext.parallelize(good.toSeq :+ b, 1).toDS()
       val e = intercept[Exception](SparkSearch.topKBatch(ds, Array(q), fn, k))
       val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
       assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), s"${fn.name}: $e")
-      assert(e.getMessage.contains(if (b.length == 0) "must not be empty" else "must be finite"), e.getMessage)
+      assert(e.getMessage.contains(msg), e.getMessage)
     }
   }
 
@@ -259,13 +212,11 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
   // One job for the batch, one per query for the single calls: each query's
   // per-partition loop and gate are the same, so the hits are too.
-  for (fn <- fns; k <- Seq(1, 3);
-       (mode, params) <- Seq("unpruned" -> None,
-         "safe gate" -> Some(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false))))
-    test(s"topKBatch == one topK per query [${fn.name} k=$k $mode]") {
-      val batch = SparkSearch.topKBatch(data, qs, fn, k, params)
+  for (fn <- fns; k <- Seq(1, 3))
+    test(s"topKBatch == one topK per query [${fn.name} k=$k unpruned]") {
+      val batch = SparkSearch.topKBatch(data, qs, fn, k)
       assert(batch.length == qs.length)
-      assert(batch.map(_.toSeq).toSeq == qs.map(q => SparkSearch.topKBatch(data, Array(q), fn, k, params).head.toSeq).toSeq)
+      assert(batch.map(_.toSeq).toSeq == qs.map(q => SparkSearch.topK(data, q, fn, k).toSeq).toSeq)
     }
 
   // ------------------------------------------------------------------
