@@ -9,13 +9,6 @@ object TopK {
   /** A per-trajectory search hit. */
   final case class Hit(trajId: Long, start: Int, end: Int, dist: Double)
 
-  /** A `search` gate for trajectories held as `IndexedSeq[T]`: decides
-    * whether one is searched, given the current k-th best distance (`+inf`
-    * until k hits are held). Algorithm 3's GBP→KPF cascade is one
-    * (`repro.pruning.Pruner.gate`).
-    */
-  type Gate[T] = (IndexedSeq[T], Double) => Boolean
-
   /** Answer order: ascending distance, ties to the lower trajectory id. */
   private val ranked: Ordering[Hit] = Ordering.by((h: Hit) => (h.dist, h.trajId))
 
@@ -25,30 +18,29 @@ object TopK {
   def merge(hits: Array[Hit], k: Int): Array[Hit] = hits.sorted(ranked).take(k)
 
   /** K best hits (ascending distance), one per data trajectory, using
-    * `search` for each trajectory that `gate` lets through (all of them by
-    * default). A hit replaces the k-th best only when strictly closer, and
-    * the k-th best is the last held hit in answer order, so over data in
-    * ascending id order the hits are the k first in answer order.
+    * `search` for every trajectory. A hit replaces the k-th best only when
+    * strictly closer, and the k-th best is the last held hit in answer
+    * order, so over data in ascending id order the hits are the k first in
+    * answer order.
     */
   def search[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
-                   search: (Q, D) => SubtrajResult,
-                   gate: (D, Double) => Boolean = (_: D, _: Double) => true): Array[Hit] =
-    searchBelow(q, data, k, (a: Q, b: D, _: Double) => Some(search(a, b)), gate)
+                   search: (Q, D) => SubtrajResult): Array[Hit] =
+    searchBelow(q, data, k, (a: Q, b: D, _: Double) => Some(search(a, b)))
 
-  /** The one incumbent loop: [[search]] with a threshold-aware `search`,
-    * which sees the current k-th best distance (`+inf` until k hits are
-    * held) and may answer `None` once it proves the trajectory's optimum no
-    * closer than that (`CMA.searchBelow`). Such a trajectory could not have
-    * replaced the k-th best, so the hits are those of the full search.
+  /** The one incumbent loop, with one hook: [[search]] with a search that
+    * sees the current k-th best distance (`+inf` until k hits are held) and
+    * may answer `None` for any reason (a filter, `repro.pruning.Pruner.gate`,
+    * or a DP stopped early, `CMA.searchBelow`); that trajectory never enters
+    * the heap. The hits are the full search's where each `None` proves the
+    * trajectory's optimum no closer than the k-th best it was handed.
     */
   def searchBelow[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
-                        search: (Q, D, Double) => Option[SubtrajResult],
-                        gate: (D, Double) => Boolean = (_: D, _: Double) => true): Array[Hit] = {
+                        search: (Q, D, Double) => Option[SubtrajResult]): Array[Hit] = {
     require(k >= 1, "k must be >= 1")
     val heap = new scala.collection.mutable.PriorityQueue[Hit]()(ranked) // its head is the k-th best
     for ((id, d) <- data) {
       val kth = if (heap.size < k) Double.PositiveInfinity else heap.head.dist
-      if (gate(d, kth)) search(q, d, kth) match {
+      search(q, d, kth) match {
         case Some(r) =>
           if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
           else if (r.dist < kth) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }

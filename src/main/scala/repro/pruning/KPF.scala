@@ -42,8 +42,9 @@ object KPF {
     }
   }
 
-  /** Uniformly sampled key-point indices at rate `r` (at least one point). */
+  /** Uniformly sampled key-point indices at rate `r` (at least one) of a non-empty query. */
   def keyPointIdx(m: Int, r: Double): Array[Int] = {
+    require(m >= 1, "KPF requires a non-empty query")
     val k = math.max(1, math.round(m * r).toInt)
     Array.tabulate(k)(i => ((i + 0.5) * m / k).toInt.min(m - 1))
   }

@@ -6,19 +6,24 @@ import scala.collection.immutable.ArraySeq
 
 /** Algorithm 3's pruning cascade over a database of data trajectories — GBP
   * gate, then KPF lower-bound gate against the incumbent, then the search
-  * algorithm itself. The incumbent loop is `TopK.searchBelow`; this object
-  * supplies the gate. Generic in the search algorithm so the efficiency
-  * table can run every baseline through the identical cascade (as the paper
-  * does for Table 3).
+  * algorithm itself: `search` folds the gate into the search it hands the
+  * incumbent loop, `TopK.searchBelow`. Generic in the search algorithm so
+  * the efficiency table can run every baseline through the identical
+  * cascade (as the paper does for Table 3).
   */
 object Pruner {
 
   /** Knobs of Appendix B/C; defaults mirror the paper's chosen values
     * (`mu = 0.4`, `r = 0.05`) with `eps` expressed in km (the paper's
-    * `0.8e-4` is in degrees ≈ 0.9 km).
+    * `0.8e-4` is in degrees ≈ 0.9 km). Above `r = 1` KPF's estimate could
+    * exceed the optimum, as key points would repeat.
     */
   final case class Params(eps: Double, mu: Double = 0.4, r: Double = 0.05,
-                          useGBP: Boolean = true)
+                          useGBP: Boolean = true) {
+    require(r > 0 && r <= 1, s"r must be in (0, 1], got $r")
+    require(mu >= 0 && mu <= 1, s"mu must be in [0, 1], got $mu")
+    require(eps > 0 && eps < Double.PositiveInfinity, s"eps must be finite and positive, got $eps")
+  }
 
   final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0,
                          var kpfPruned: Int = 0, var searched: Int = 0)
@@ -33,7 +38,7 @@ object Pruner {
     * best, which leaves every decision unchanged.
     */
   def gate(q: Array[Point], fn: DistFn[Point], params: Params,
-           stats: Stats = Stats()): TopK.Gate[Point] = {
+           stats: Stats = Stats()): (IndexedSeq[Point], Double) => Boolean = {
     val gbp: IndexedSeq[Point] => Boolean =
       if (params.useGBP) {
         val qCells = GBP.queryCells(q, params.eps)
@@ -55,17 +60,16 @@ object Pruner {
   }
 
   /** Best hit over `data` for query `q` using `searchOne` on survivors: the
-    * k = 1 case of `TopK.search` behind `gate`. The first unpruned trajectory
-    * seeds the incumbent; afterwards KPF prunes against its distance.
-    * `Harness.table3` runs it in each Spark partition, over that partition's
-    * trajectories.
+    * k = 1 `TopK.searchBelow`, whose search answers `None` where `gate` cuts
+    * (GBP even at `+inf`). `Harness.table3` runs it in each Spark partition,
+    * over that partition's trajectories.
     */
   def search(q: Array[Point], data: Iterable[(Long, Array[Point])], fn: DistFn[Point],
              params: Params,
              searchOne: (Array[Point], Array[Point]) => SubtrajResult,
              stats: Stats = Stats()): Option[TopK.Hit] = {
     val g = gate(q, fn, params, stats)
-    TopK.search(q, data, 1, searchOne,
-      (d: Array[Point], kth: Double) => g(ArraySeq.unsafeWrapArray(d), kth)).headOption
+    TopK.searchBelow(q, data, 1, (a: Array[Point], d: Array[Point], kth: Double) =>
+      if (g(ArraySeq.unsafeWrapArray(d), kth)) Some(searchOne(a, d)) else None).headOption
   }
 }

@@ -9,8 +9,8 @@ import scala.reflect.ClassTag
 
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
-  * every partition runs the shared top-K loop (`TopK.searchBelow`, behind
-  * an exact bounding-box gate, with `CMA.searchBelow`) once per query of the
+  * every partition runs the shared top-K loop (`TopK.searchBelow`, with
+  * `CMA.searchBelow` behind an exact bounding-box gate) once per query of the
   * batch, and the driver merges the at most `K × partitions` hits per query
   * by `(dist, trajId)` (`TopK.merge`), the order that loop itself uses.
   * Every hit equals the unpruned `TopK.cma`'s. Table 3's heuristic GBP→KPF
@@ -39,9 +39,9 @@ object SparkSearch {
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
     * one job: each partition keeps a local top-K per query, searched by
-    * `CMA.searchBelow` below the partition's k-th best, over the trajectories
-    * the exact box gate lets through: once k hits are held it cuts a
-    * trajectory whose `KPF.boxBound` reaches the k-th best, and only a
+    * `CMA.searchBelow` below the partition's k-th best, with the exact box
+    * gate folded into the search: once k hits are held it answers `None` for
+    * a trajectory whose `KPF.boxBound` reaches the k-th best, and only a
     * trajectory that passes has its points built. The box pass rejects an
     * empty data trajectory, `xs` and `ys` of unequal lengths and a non-finite
     * data coordinate; a query with no point or a non-finite coordinate is
@@ -56,8 +56,9 @@ object SparkSearch {
       val ds = trajs.map(t => (t.id, new Boxed(t)))
       Iterator.single(qs.map { q =>
         val qi = ArraySeq.unsafeWrapArray(q)
-        TopK.searchBelow(qi, ds, k, (a: IndexedSeq[Point], b: Boxed, kth: Double) => CMA.searchBelow(a, b.points, fn, kth),
-          boxGate(qi, fn))
+        val gate = boxGate(qi, fn)
+        TopK.searchBelow(qi, ds, k, (a: IndexedSeq[Point], b: Boxed, kth: Double) =>
+          if (gate(b, kth)) CMA.searchBelow(a, b.points, fn, kth) else None)
       })
     }
     Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))

@@ -239,16 +239,6 @@ class SearchBelowSpec extends AnyFunSuite {
     assert(TopK.searchBelow(IndexedSeq(0, 1), data, 1, below(halves)).toSeq == want.toSeq)
   }
 
-  test("TopK.searchBelow hands the search the gate's k-th best") {
-    val data = db(4, 8)
-    val q = TestGen.randPoints(new Random(10), 4)
-    val gated, searched = scala.collection.mutable.ArrayBuffer.empty[Double]
-    TopK.searchBelow(q, data, 2, (a: IndexedSeq[Point], b: IndexedSeq[Point], kth: Double) => {
-      searched += kth; CMA.searchBelow(a, b, Dist.dtw, kth)
-    }, (_: IndexedSeq[Point], kth: Double) => { gated += kth; true })
-    assert(searched.toSeq == gated.toSeq && gated.take(2).forall(_.isPosInfinity) && gated.drop(2).forall(_.isFinite))
-  }
-
   /** Distances compared by bits, so NaN equals NaN. */
   private def bits(r: SubtrajResult) = (r.start, r.end, java.lang.Double.doubleToLongBits(r.dist))
 

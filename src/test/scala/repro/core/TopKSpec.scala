@@ -46,17 +46,41 @@ class TopKSpec extends AnyFunSuite {
     }
   }
 
-  test("topK gate sees +inf until k hits are held, then the k-th best distance") {
+  test("topK search sees +inf until k hits are held, then the k-th best distance") {
     val data = db(4, 8)
     val q = TestGen.randPoints(new Random(10), 4)
     val seen = scala.collection.mutable.ArrayBuffer.empty[Double]
-    TopK.search(q, data, 2, (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, Dist.dtw),
-      (_: IndexedSeq[Point], kth: Double) => { seen += kth; true })
+    TopK.searchBelow(q, data, 2, (a: IndexedSeq[Point], b: IndexedSeq[Point], kth: Double) => {
+      seen += kth; Some(CMA.search(a, b, Dist.dtw))
+    })
     val dists = data.map { case (_, d) => CMA.search(q, d, Dist.dtw).dist }
     val want = dists.indices.map(i =>
       if (i < 2) Double.PositiveInfinity else dists.take(i).sorted.apply(1))
     assert(seen.toSeq == want)
   }
+
+  // A filter in front of the search answers None whatever the k-th best,
+  // +inf included (at k = 3, trajectory 1): the loop holds and ranks only
+  // the answered hits, and at k = 12, all of the data, returns those 8.
+  for (k <- Seq(1, 3, 12))
+    test(s"a search that answers None before k hits are held is skipped [k=$k]") {
+      val data = db(5, 12)
+      val q = TestGen.randPoints(new Random(11), 5)
+      def answers(id: Long) = id % 3 != 1 // None for ids 1, 4, 7 and 10
+      val seen = scala.collection.mutable.ArrayBuffer.empty[Double]
+      val got = TopK.searchBelow(q, data.map { case (id, d) => (id, (id, d)) }, k,
+        (a: IndexedSeq[Point], b: (Long, IndexedSeq[Point]), kth: Double) => {
+          seen += kth
+          if (answers(b._1)) Some(CMA.search(a, b._2, Dist.dtw)) else None
+        })
+      val answered = data.filter { case (id, _) => answers(id) }
+      assert(got.toSeq == TopK.cma(q, answered, k, Dist.dtw).toSeq)
+      val want = data.indices.map { i =>
+        val held = answered.takeWhile(_._1 < i).map { case (_, d) => CMA.search(q, d, Dist.dtw).dist }
+        if (held.length < k) Double.PositiveInfinity else held.sorted.apply(k - 1)
+      }
+      assert(seen.toSeq == want)
+    }
 
   test("a closer hit evicts the highest id among hits tied at the k-th distance") {
     val r = new Random(12)

@@ -16,6 +16,13 @@ class PruningSpec extends AnyFunSuite {
   private def searchArrays(fn: DistFn[Point]): (Array[Point], Array[Point]) => SubtrajResult =
     (a, b) => CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn)
 
+  /** CMA under `fn` behind `gate`, folded in as `Pruner.search` folds it:
+    * `None` for a trajectory the gate cuts.
+    */
+  private def behind(gate: (IndexedSeq[Point], Double) => Boolean, fn: DistFn[Point]) =
+    (a: IndexedSeq[Point], b: IndexedSeq[Point], kth: Double) =>
+      if (gate(b, kth)) Some(CMA.search(a, b, fn)) else None
+
   private def smallDb(seed: Int, n: Int = 10): Array[(Long, Array[Point])] = {
     val r = new Random(seed)
     Array.tabulate(n)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(15)).toArray))
@@ -54,6 +61,32 @@ class PruningSpec extends AnyFunSuite {
     TestGen.assertSameDist(KPF.estimate(q, d, fn, 1.0), ScanOracles.lowerBound(q, d, fn))
   }
 
+  test("KPF estimate rejects an empty query") {
+    val d = TestGen.randPoints(new Random(3), 8)
+    for (fn <- TestGen.pointFns; rate <- Seq(0.05, 1.0))
+      intercept[IllegalArgumentException](KPF.estimate(IndexedSeq.empty, d, fn, rate))
+  }
+
+  // --- Params: the ranges the bounds rely on (above r = 1 key points
+  // repeat: `keyPointIdx(3, 1.5)` is [0, 0, 1, 2, 2]) ---
+  test("Params rejects a key-point rate r outside (0, 1]") {
+    for (r <- Seq(0.0, -0.05, Math.nextUp(1.0), 1.5, Double.NaN, Double.PositiveInfinity))
+      assertThrows[IllegalArgumentException](Pruner.Params(eps = 1.0, r = r))
+    for (r <- Seq(Double.MinPositiveValue, 0.05, 1.0)) assert(Pruner.Params(eps = 1.0, r = r).r == r)
+  }
+
+  test("Params rejects a GBP ratio mu outside [0, 1]") {
+    for (mu <- Seq(-0.1, Math.nextUp(1.0), 2.0, Double.NaN))
+      assertThrows[IllegalArgumentException](Pruner.Params(eps = 1.0, mu = mu))
+    for (mu <- Seq(0.0, 0.4, 1.0)) assert(Pruner.Params(eps = 1.0, mu = mu).mu == mu)
+  }
+
+  test("Params rejects a grid cell size eps that is not finite and positive") {
+    for (eps <- Seq(0.0, -1.0, Double.PositiveInfinity, Double.NaN))
+      assertThrows[IllegalArgumentException](Pruner.Params(eps = eps, useGBP = false))
+    for (eps <- Seq(Double.MinPositiveValue, 0.9, Double.MaxValue)) assert(Pruner.Params(eps = eps).eps == eps)
+  }
+
   // --- KPF early stop at the incumbent ---
   private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
 
@@ -82,13 +115,12 @@ class PruningSpec extends AnyFunSuite {
         val db = Array.tabulate(30)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(30)).toArray))
         val q = TestGen.randPoints(r, 20 + r.nextInt(40)).toArray
         val params = Pruner.Params(eps = 0.2, mu = 0.1, r = rate, useGBP = seed % 2 == 0)
-        val search = (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn)
         val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
         val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
         val got =
           if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
-          else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
-        val want = TopK.search(q.toIndexedSeq, wrapped, k, search, ScanOracles.gate(q, fn, params, wantStats))
+          else TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(Pruner.gate(q, fn, params, gotStats), fn))
+        val want = TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(ScanOracles.gate(q, fn, params, wantStats), fn))
         assert(got.toSeq == want.toSeq, s"seed=$seed k=$k")
         assert(gotStats == wantStats, s"seed=$seed k=$k")
         kpfPruned += wantStats.kpfPruned
@@ -154,7 +186,6 @@ class PruningSpec extends AnyFunSuite {
       val spec = Workloads.beijing
       val db = Workloads.dataLocal(spec).take(10).map(t => (t.id, t.points))
       val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
-      val search = (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn)
       var kpfPruned = 0
       for (q <- Workloads.queries(spec);
            params <- Seq(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false),
@@ -164,8 +195,8 @@ class PruningSpec extends AnyFunSuite {
         val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
         val got =
           if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
-          else TopK.search(q.toIndexedSeq, wrapped, k, search, Pruner.gate(q, fn, params, gotStats))
-        val want = TopK.search(q.toIndexedSeq, wrapped, k, search, ScanOracles.gate(q, fn, params, wantStats))
+          else TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(Pruner.gate(q, fn, params, gotStats), fn))
+        val want = TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(ScanOracles.gate(q, fn, params, wantStats), fn))
         assert(got.toSeq == want.toSeq, s"k=$k params=$params")
         assert(gotStats == wantStats, s"k=$k params=$params")
         kpfPruned += wantStats.kpfPruned
@@ -183,8 +214,8 @@ class PruningSpec extends AnyFunSuite {
       val want = db.map { case (_, d) => searchArrays(fn)(q, d).dist }.sorted
       TestGen.assertSameDist(got.dist, want.head)
       // k = 3: KPF prunes against the third-best distance.
-      val top3 = TopK.search(q.toIndexedSeq, db.map { case (id, d) => (id, d.toIndexedSeq) }, 3,
-        (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn), Pruner.gate(q, fn, params))
+      val top3 = TopK.searchBelow(q.toIndexedSeq, db.map { case (id, d) => (id, d.toIndexedSeq) }, 3,
+        behind(Pruner.gate(q, fn, params), fn))
       assert(top3.length == 3)
       for ((h, w) <- top3.zip(want)) TestGen.assertSameDist(h.dist, w)
     }

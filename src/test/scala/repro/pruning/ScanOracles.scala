@@ -51,7 +51,7 @@ object ScanOracles {
 
   /** `Pruner.gate` with the scanned, never early-stopped KPF estimate. */
   def gate(q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
-           stats: Pruner.Stats): TopK.Gate[Point] = {
+           stats: Pruner.Stats): (IndexedSeq[Point], Double) => Boolean = {
     val qCells = GBP.queryCells(q, params.eps)
     (d, kth) => {
       stats.examined += 1

@@ -143,17 +143,16 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
         val want = xqs.map(q => TopK.cma(ArraySeq.unsafeWrapArray(q), driver, k, fn))
         assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k")
         if (k == 3) assert(got.exists(_.map(_.dist).distinct.length < 3), "copies tie")
-        // Each partition's loop again through the gate the tasks use,
-        // counting the trajectories it examines and those it cuts; merged,
-        // the replay's hits are the tasks'.
+        // Each partition's loop again, with the tasks' gate folded into the
+        // search as they fold it, counting the trajectories it examines and
+        // those it cuts; merged, the replay's hits are the tasks'.
         val replay = for (q <- xqs.map(ArraySeq.unsafeWrapArray(_))) yield TopK.merge(parts.toArray.flatMap { part =>
           val gate = SparkSearch.boxGate(q, fn)
           TopK.searchBelow(q, part.map(t => (t.id, new SparkSearch.Boxed(t))), k,
-            (a: IndexedSeq[Point], b: SparkSearch.Boxed, kth: Double) => CMA.searchBelow(a, b.points, fn, kth),
-            (b: SparkSearch.Boxed, kth: Double) => {
+            (a: IndexedSeq[Point], b: SparkSearch.Boxed, kth: Double) => {
               val pass = gate(b, kth)
               examined += 1; if (!pass) cut += 1
-              pass
+              if (pass) CMA.searchBelow(a, b.points, fn, kth) else None
             })
         }, k)
         assert(replay.map(_.toSeq).toSeq == got.map(_.toSeq).toSeq, s"k=$k replay")
