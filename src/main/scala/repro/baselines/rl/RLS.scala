@@ -17,14 +17,12 @@ import scala.util.Random
   *
   * Policies are trained offline per (workload, distance-function) on held-out
   * trajectory pairs with terminal reward `-(found / exact-optimal)`; training
-  * time is excluded from the efficiency tables, as in the paper.
+  * time is excluded from the efficiency tables, as in the paper. A trained
+  * policy is its [[QTable]]: its action count, 2 or 3, says which variant it is.
   */
 object RLS {
 
   val NStates = 32
-
-  /** A trained split policy; `skip=true` enables the third action. */
-  final case class Policy(table: QTable, skip: Boolean) extends Serializable
 
   private def stateOf(cur: Double, best: Double, segLen: Int, m: Int, improving: Boolean): Int = {
     val ratio = if (best.isInfinite || best <= 1e-12) 1.0 else cur / best
@@ -36,7 +34,7 @@ object RLS {
 
   /** One scan of `d` under `policy`; `learn != null` enables training updates. */
   private def run[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T],
-                     policy: Policy, learn: Random, eps: Double): SubtrajResult = {
+                     policy: QTable, learn: Random, eps: Double): SubtrajResult = {
     require(q.nonEmpty && d.nonEmpty, "RLS requires non-empty trajectories")
     val m = q.length; val n = d.length
     val dp = PrefixDP(q, fn)
@@ -60,11 +58,11 @@ object RLS {
           // which is what makes it faster but less accurate than RLS.
           val reward = (if (improvedGlobal) 0.1 else 0.0) +
                        (if (pendingAction == 2) 0.06 else 0.0)
-          policy.table.update(pendingState, pendingAction, reward, st, terminal = false)
+          policy.update(pendingState, pendingAction, reward, st, terminal = false)
         }
         val a =
-          if (learn != null) policy.table.choose(st, eps, learn)
-          else policy.table.bestAction(st)
+          if (learn != null) policy.choose(st, eps, learn)
+          else policy.bestAction(st)
         pendingState = st; pendingAction = a
         if (a == 1 && t < n) { // split: restart after the scan point
           s = t + 1
@@ -81,7 +79,7 @@ object RLS {
       // Terminal reward: how close the episode got to the exact optimum.
       val opt = CMA.search(q, d, fn).dist
       val reward = if (bestD <= 1e-12) 1.0 else -(bestD / math.max(opt, 1e-9) - 1.0)
-      policy.table.update(pendingState, pendingAction, reward, 0, terminal = true)
+      policy.update(pendingState, pendingAction, reward, 0, terminal = true)
     }
     SubtrajResult(bestS, bestT, bestD)
   }
@@ -89,12 +87,12 @@ object RLS {
   /** Training passes over the pairs; pass `e` explores with probability 0.4 / (e + 1). */
   private final val Epochs = 3
 
-  /** Train a policy on `pairs` of (query, data) trajectories. Deterministic
-    * in `seed`.
+  /** Train a policy on `pairs` of (query, data) trajectories; `skip = true`
+    * enables the third action. Deterministic in `seed`.
     */
   def train[T](pairs: Seq[(IndexedSeq[T], IndexedSeq[T])], fn: DistFn[T],
-               skip: Boolean, seed: Long): Policy = {
-    val p = Policy(new QTable(NStates, if (skip) 3 else 2), skip)
+               skip: Boolean, seed: Long): QTable = {
+    val p = new QTable(NStates, if (skip) 3 else 2)
     val rnd = new Random(seed)
     var e = 0
     while (e < Epochs) {
@@ -106,6 +104,6 @@ object RLS {
   }
 
   /** Greedy evaluation with a trained policy. */
-  def search[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], policy: Policy): SubtrajResult =
+  def search[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], policy: QTable): SubtrajResult =
     run(q, d, fn, policy, null, 0.0)
 }

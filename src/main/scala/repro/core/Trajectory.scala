@@ -10,10 +10,23 @@ final case class Point(x: Double, y: Double) {
 }
 
 /** Row type for Spark `Dataset[Traj]`: a trajectory stored as parallel
-  * coordinate arrays (product-encodable, compact in Tungsten rows).
+  * coordinate arrays (product-encodable, compact in Tungsten rows). Made on
+  * the driver or by a Spark task's deserializer, it rejects an empty or ragged
+  * trajectory and a non-finite coordinate (`IllegalArgumentException`).
   */
 final case class Traj(id: Long, xs: Array[Double], ys: Array[Double]) {
+  require(xs.nonEmpty, "data trajectories must not be empty")
+  require(xs.length == ys.length, "data trajectories must have as many ys as xs")
+  require(allFinite, "data coordinates must be finite")
+
   def length: Int = xs.length
+
+  /** One pass over the primitive arrays (`ArrayOps.forall` boxes each element). */
+  private def allFinite: Boolean = {
+    var i = 0
+    while (i < xs.length && java.lang.Double.isFinite(xs(i)) && java.lang.Double.isFinite(ys(i))) i += 1
+    i == xs.length
+  }
 
   /** Materialize as an array of [[Point]]s for the per-trajectory algorithms. */
   def points: Array[Point] = Array.tabulate(xs.length)(k => Point(xs(k), ys(k)))

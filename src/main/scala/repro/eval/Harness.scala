@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines._
-import repro.baselines.rl.RLS
+import repro.baselines.rl.{QTable, RLS}
 import repro.core._
 import repro.network.NetTrajGen
 import repro.pruning.Pruner
@@ -60,7 +60,7 @@ object Harness {
     * run it: Spring is DTW-only and GB is FD-only (paper §3.2/§3.3). Only the
     * RLS variants read `policies`, `fn`'s trained (plain, skip) pair, once.
     */
-  def searcher(algo: Algo, fn: DistFn[Point], policies: => (RLS.Policy, RLS.Policy)): Option[Search] = (algo, fn) match {
+  def searcher(algo: Algo, fn: DistFn[Point], policies: => (QTable, QTable)): Option[Search] = (algo, fn) match {
     case (Algo.POS, _)                    => Some(SplitSearch.pos(_, _, fn))
     case (Algo.PSS, _)                    => Some(SplitSearch.pss(_, _, fn))
     case (Algo.RLS, _)                    => val p = policies._1; Some(RLS.search(_, _, fn, p))

@@ -13,14 +13,13 @@ import repro.core._
   * points at rate `r` and scaling by `1/r` (Eq. 28) makes the estimate cheap
   * but heuristic, exactly as in the paper.
   *
-  * For DTW, FD, ERP and EDR (Euclidean sub-costs on points) `estimate`
-  * answers `min_j sub(q[i], d[j])` with a [[PointGrid]] nearest-neighbour
-  * query over `d`, built once per call, instead of scanning all n points.
-  * The grid returns the scan's minimum bit for bit, so every estimate, and
-  * every pruning decision made from it, is the scan's. A custom WED scans.
-  * KPF is typed on `Point`, as are its callers, `Pruner.gate` (the driver
-  * and Table 3's partitions) and `SparkSearch.topKBatch`'s box gate
-  * (`boxBound`): the road-network functions never reach it.
+  * For DTW, FD, ERP and EDR (Euclidean sub-costs on points) every bound is
+  * one per-point term, [[euclidTerm]], over a [[Nearest]] on `d`: `estimate`
+  * takes a [[PointGrid]] built once per call, or a [[Scan]] below
+  * [[GridMinKeys]] key points, both bit-equal to the m·n scan's minimum, and
+  * `boxBound` takes `d`'s bounding [[Box]]. Every other function gets 0, a
+  * sound bound. KPF is typed on `Point`, as are its callers (`Pruner.gate`,
+  * the Spark box gate): the road-network functions never reach it.
   */
 object KPF {
 
@@ -31,17 +30,6 @@ object KPF {
     */
   private val GridMinKeys = 4
 
-  /** `minCost(q[i], τd)` for one query point under `fn`. */
-  def pointMinCost(qi: Point, d: IndexedSeq[Point], fn: DistFn[Point]): Double = {
-    var minSub = Double.PositiveInfinity
-    var j = 0
-    while (j < d.length) { val s = fn.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-    fn match {
-      case WedFn(_, c) => math.min(c.del(qi), minSub)
-      case _           => minSub // DTW/FD deletion cost = sub with the matched point
-    }
-  }
-
   /** Uniformly sampled key-point indices at rate `r` (at least one) of a non-empty query. */
   def keyPointIdx(m: Int, r: Double): Array[Int] = {
     require(m >= 1, "KPF requires a non-empty query")
@@ -50,37 +38,36 @@ object KPF {
   }
 
   /** Sampled estimate `minCost_e` (Eq. 28): `1/r`-scaled for sum-type
-    * functions, plain max for FD, stopped at `stopAt` as [[combine]] is.
+    * functions, plain max for FD, stopped at `stopAt` as [[combine]] is; 0
+    * for a function without a [[euclidTerm]].
     */
   def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
                stopAt: Double = Double.PositiveInfinity): Double = {
     val idx = keyPointIdx(q.length, r)
-    val minCost = (if (idx.length >= GridMinKeys) gridMinCost(d, fn) else None)
-      .getOrElse((qi: Point) => pointMinCost(qi, d, fn))
-    combine(fn, q.length, idx.length, stopAt)(k => minCost(q(idx(k))))
+    euclidTerm(fn).fold(0.0) { term =>
+      val t = term((if (idx.length >= GridMinKeys) PointGrid(d) else None).getOrElse(new Scan(d)))
+      combine(fn, q.length, idx.length, stopAt)(k => t(q(idx(k))))
+    }
+  }
+
+  /** A bounding box; a point's distance to it is `<=` that to every point inside, bit for bit (DESIGN.md §3). */
+  final case class Box(minX: Double, maxX: Double, minY: Double, maxY: Double) extends Nearest {
+    def nearest(qx: Double, qy: Double): Double = {
+      val dx = math.max(0.0, math.max(qx - maxX, minX - qx))
+      val dy = math.max(0.0, math.max(qy - maxY, minY - qy))
+      math.sqrt(dx * dx + dy * dy)
+    }
   }
 
   /** Theorem B.1 at r = 1, with `min_j sub(q[i], d[j])` replaced by the
-    * distance from `q[i]` to `d`'s bounding box `[minX, maxX] × [minY,
-    * maxY]`, for DTW, FD, ERP and EDR; 0 for every other function. Each box
-    * distance is `<=` every `q[i].distTo(d[j])` bit for bit, as rounding is
-    * monotone (DESIGN.md §3), so the bound is `<=` [[estimate]] at r = 1.
+    * distance from `q[i]` to `d`'s bounding `box`, for DTW, FD, ERP and EDR;
+    * 0 for every other function. The bound is `<=` [[estimate]] at r = 1.
     */
-  def boxBound(q: IndexedSeq[Point], fn: DistFn[Point], minX: Double, maxX: Double,
-               minY: Double, maxY: Double, stopAt: Double): Double = {
-    val box = new Nearest {
-      def nearest(qx: Double, qy: Double): Double = {
-        val dx = math.max(0.0, math.max(qx - maxX, minX - qx))
-        val dy = math.max(0.0, math.max(qy - maxY, minY - qy))
-        math.sqrt(dx * dx + dy * dy)
-      }
-      def within(qx: Double, qy: Double, eps: Double): Boolean = nearest(qx, qy) <= eps
-    }
+  def boxBound(q: IndexedSeq[Point], fn: DistFn[Point], box: Box, stopAt: Double): Double =
     euclidTerm(fn).fold(0.0) { term =>
       val t = term(box)
       combine(fn, q.length, q.length, stopAt)(i => t(q(i)))
     }
-  }
 
   /** Theorem B.1's combination of `n` terms `term(k)` of an `m`-point query:
     * their max for FD, else their sum scaled by `m / n`, but not at `n = m`,
@@ -102,10 +89,21 @@ object KPF {
         scaled(sum)
     }
 
-  /** Distances to a trajectory's points: exact ([[PointGrid]]) or a lower bound (a box). */
+  /** Distances to a trajectory's points: exact ([[PointGrid]], [[Scan]]) or a lower bound ([[Box]]). */
   private[pruning] trait Nearest {
     def nearest(qx: Double, qy: Double): Double
-    def within(qx: Double, qy: Double, eps: Double): Boolean
+    def within(qx: Double, qy: Double, eps: Double): Boolean = nearest(qx, qy) <= eps
+  }
+
+  /** `min_j Point(qx, qy).distTo(d(j))`, the expression `Euclid` evaluates, by a scan of `d`. */
+  private final class Scan(d: IndexedSeq[Point]) extends Nearest {
+    def nearest(qx: Double, qy: Double): Double = {
+      val p = Point(qx, qy)
+      var b = Double.PositiveInfinity
+      var j = 0
+      while (j < d.length) { val s = p.distTo(d(j)); if (s < b) b = s; j += 1 }
+      b
+    }
   }
 
   /** Theorem B.1's per-point term `min(del(p), min_j sub(p, d[j]))` from a
@@ -119,12 +117,4 @@ object KPF {
     case WedFn(_, EdrCosts(eps))                 => Some(n => p => if (n.within(p.x, p.y, eps)) 0.0 else 1.0)
     case _                                       => None
   }
-
-  /** `pointMinCost(·, d, fn)` through a [[PointGrid]] over `d`, bit-equal to
-    * the scan, for the four point functions with Euclidean sub-costs; `None`
-    * for every other function and when `d` has a coordinate that is not
-    * finite.
-    */
-  private[pruning] def gridMinCost(d: IndexedSeq[Point], fn: DistFn[Point]): Option[Point => Double] =
-    for (term <- euclidTerm(fn); g <- PointGrid(d)) yield term(g)
 }

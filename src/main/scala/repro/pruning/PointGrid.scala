@@ -27,7 +27,7 @@ final class PointGrid private (ox: Double, oy: Double, cell: Double, nx: Int, ny
   def nearest(qx: Double, qy: Double): Double = walk(qx, qy, Double.NaN)
 
   /** Whether some point is within `eps` (`distTo <= eps`) of the query. */
-  def within(qx: Double, qy: Double, eps: Double): Boolean = walk(qx, qy, eps) <= eps
+  override def within(qx: Double, qy: Double, eps: Double): Boolean = walk(qx, qy, eps) <= eps
 
   private def dist(qx: Double, qy: Double, k: Int): Double = {
     val dx = qx - xs(k); val dy = qy - ys(k)

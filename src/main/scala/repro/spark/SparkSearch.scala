@@ -42,10 +42,9 @@ object SparkSearch {
     * `CMA.searchBelow` below the partition's k-th best, with the exact box
     * gate folded into the search: once k hits are held it answers `None` for
     * a trajectory whose `KPF.boxBound` reaches the k-th best, and only a
-    * trajectory that passes has its points built. The box pass rejects an
-    * empty data trajectory, `xs` and `ys` of unequal lengths and a non-finite
-    * data coordinate; a query with no point or a non-finite coordinate is
-    * rejected on the driver.
+    * trajectory that passes has its points built. A bad data trajectory
+    * fails the task as `Traj`'s constructor rejects it; a query with no point
+    * or a non-finite coordinate is rejected on the driver.
     */
   def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int): Array[Array[TopK.Hit]] = {
     require(k >= 1, "k must be >= 1")
@@ -66,21 +65,19 @@ object SparkSearch {
 
   /** The gate: once k hits are held, pass while `KPF.boxBound` < the k-th best. */
   private[spark] def boxGate(q: IndexedSeq[Point], fn: DistFn[Point]): (Boxed, Double) => Boolean =
-    (b, kth) => kth == Double.PositiveInfinity || KPF.boxBound(q, fn, b.minX, b.maxX, b.minY, b.maxY, kth) < kth
+    (b, kth) => kth == Double.PositiveInfinity || KPF.boxBound(q, fn, b.box, kth) < kth
 
   /** A trajectory's bounding box, from one pass over `xs`/`ys`, and its
     * points, built on first use.
     */
   private[spark] final class Boxed(t: Traj) {
-    require(t.length > 0, "data trajectories must not be empty")
-    require(t.xs.length == t.ys.length, "data trajectories must have as many ys as xs")
-    var minX, minY = Double.PositiveInfinity
-    var maxX, maxY = Double.NegativeInfinity
-    for (i <- 0 until t.length) { // math.min and math.max keep a NaN
+    private var minX, minY = Double.PositiveInfinity
+    private var maxX, maxY = Double.NegativeInfinity
+    for (i <- 0 until t.length) {
       minX = math.min(minX, t.xs(i)); maxX = math.max(maxX, t.xs(i))
       minY = math.min(minY, t.ys(i)); maxY = math.max(maxY, t.ys(i))
     }
-    require(minX.isFinite && maxX.isFinite && minY.isFinite && maxY.isFinite, "data coordinates must be finite")
+    val box: KPF.Box = KPF.Box(minX, maxX, minY, maxY)
     lazy val points: IndexedSeq[Point] = ArraySeq.unsafeWrapArray(t.points)
   }
 }

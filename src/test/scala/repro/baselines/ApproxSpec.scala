@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.rl.RLS
+import repro.baselines.rl.{QTable, RLS}
 import repro.core._
 
 /** The approximate baselines (POS, PSS, RLS, RLS-Skip) have no optimality
@@ -12,7 +12,7 @@ import repro.core._
   */
 class ApproxSpec extends AnyFunSuite {
 
-  private lazy val policies: Map[String, (RLS.Policy, RLS.Policy)] = {
+  private lazy val policies: Map[String, (QTable, QTable)] = {
     val pairs = (0 until 5).map(s => TestGen.randPair(s + 900, mMax = 6, nMax = 16))
     TestGen.pointFns.map { fn =>
       fn.name -> (RLS.train(pairs, fn, skip = false, seed = 1),
@@ -74,14 +74,14 @@ class ApproxSpec extends AnyFunSuite {
     val pairs = (0 until 3).map(s => TestGen.randPair(s + 950, mMax = 5, nMax = 12))
     val p1 = RLS.train(pairs, Dist.dtw, skip = false, seed = 5)
     val p2 = RLS.train(pairs, Dist.dtw, skip = false, seed = 5)
-    assert(p1.table.q.map(_.toSeq).toSeq == p2.table.q.map(_.toSeq).toSeq)
+    assert(p1.q.map(_.toSeq).toSeq == p2.q.map(_.toSeq).toSeq)
   }
 
   test("trained RLS beats the untrained policy on average (sanity of learning)") {
     val evalPairs = (0 until 10).map(s => TestGen.randPair(s + 970, mMax = 6, nMax = 18))
-    val untrained = RLS.Policy(new rl.QTable(RLS.NStates, 2), skip = false)
+    val untrained = new QTable(RLS.NStates, 2)
     val trained   = policies("DTW")._1
-    def cost(p: RLS.Policy): Double =
+    def cost(p: QTable): Double =
       evalPairs.map { case (q, d) => RLS.search(q, d, Dist.dtw, p).dist }.sum
     // trained should not be (meaningfully) worse
     assert(cost(trained) <= cost(untrained) * 1.25 + 1e-6)

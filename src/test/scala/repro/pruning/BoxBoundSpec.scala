@@ -18,8 +18,8 @@ class BoxBoundSpec extends AnyFunSuite {
 
   private def boxBound(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point],
                        stopAt: Double = Double.PositiveInfinity): Double =
-    KPF.boxBound(q, fn, d.map(_.x).min, d.map(_.x).max,
-      d.map(_.y).min, d.map(_.y).max, stopAt)
+    KPF.boxBound(q, fn, KPF.Box(d.map(_.x).min, d.map(_.x).max,
+      d.map(_.y).min, d.map(_.y).max), stopAt)
 
   /** `boxBound <= estimate(r = 1) <= CMA`, and the bound stopped at any of
     * several thresholds reaches it exactly when the full bound does (and

@@ -16,7 +16,7 @@ class PointGridSpec extends AnyFunSuite {
 
   private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
 
-  private def scanNearest(q: Point, d: IndexedSeq[Point]): Double = KPF.pointMinCost(q, d, Dist.dtw)
+  private def scanNearest(q: Point, d: IndexedSeq[Point]): Double = ScanOracles.pointMinCost(q, d, Dist.dtw)
 
   /** Point sets that stress the cell arithmetic, each with its query points. */
   private def cases(seed: Int): Seq[(String, IndexedSeq[Point], IndexedSeq[Point])] = {
@@ -112,8 +112,11 @@ class PointGridSpec extends AnyFunSuite {
     assert(PointGrid(IndexedSeq.empty[Point]).isEmpty)
   }
 
-  test("the four shipped point functions take the grid; network and custom WED functions scan") {
-    val d = TestGen.randPoints(new Random(1), 50)
+  test("the four shipped point functions give the scan estimate, also deserialized; a custom WED gets 0") {
+    val r = new Random(1)
+    val d = TestGen.randPoints(r, 50)
+    // Far from d, so that every function's scan estimate is positive.
+    val q = TestGen.randPoints(r, 20).map(p => Point(p.x + 3, p.y))
     // Spark tasks see a deserialized copy of the function, so check that too.
     def roundTrip[A](a: A): A = {
       val bytes = new java.io.ByteArrayOutputStream()
@@ -121,17 +124,20 @@ class PointGridSpec extends AnyFunSuite {
       new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
     }
     for (spec <- Seq(Workloads.porto, Workloads.xian, Workloads.beijing, TestGen.tiny);
-         fn <- Workloads.distFns(spec); f <- Seq(fn, roundTrip(fn)))
-      assert(KPF.gridMinCost(d, f).isDefined, s"${spec.name} ${fn.name} falls back to the scan")
-    // KPF is typed on Point: network and char functions cannot reach the grid.
+         fn <- Workloads.distFns(spec); f <- Seq(fn, roundTrip(fn)); rate <- Seq(0.05, 1.0)) {
+      val want = ScanOracles.estimate(q, d, f, rate)
+      assert(want > 0 && bits(KPF.estimate(q, d, f, rate)) == bits(want), s"${spec.name} ${fn.name} r=$rate")
+    }
+    val custom = TestGen.pointFns.last
+    assert(ScanOracles.estimate(q, d, custom, 1.0) > 0 && KPF.estimate(q, d, custom, 1.0) == 0.0)
+    // KPF is typed on Point: network and char functions cannot reach it.
     val net = RoadNetwork.grid(4, 4, 1.0, seed = 1)
     val walk = IndexedSeq(0, 1, 2, 6)
     val netFns: Seq[DistFn[Int]] = Seq(NetDist.netErp(net, 5), NetDist.netEdr(net, 1.0), NetDist.surs(net))
     val chars = "abc".toIndexedSeq
     val charFn: DistFn[Char] = TestGen.wedUnit[Char]
     assert(netFns.length == 3 && walk.nonEmpty && chars.nonEmpty && charFn.name == "WED")
-    assertTypeError("KPF.gridMinCost(walk, netFns.head)")
-    assertTypeError("KPF.gridMinCost(chars, charFn)")
-    assert(KPF.gridMinCost(d, TestGen.pointFns.last).isEmpty)
+    assertTypeError("KPF.estimate(walk, walk, netFns.head, 1.0)")
+    assertTypeError("KPF.estimate(chars, chars, charFn, 1.0)")
   }
 }

@@ -37,14 +37,28 @@ class PruningSpec extends AnyFunSuite {
       assert(lb <= opt + 1e-9, s"lb=$lb opt=$opt")
     }
 
-  test("KPF pointMinCost is min over sub/del") {
+  test("ScanOracles.pointMinCost is min over sub/del") {
     val d = IndexedSeq(Point(0, 0), Point(1, 0), Point(2, 0))
     val erp = Dist.erp(Point(0, 0))
     // query point near (1,0): sub min = 0.1, del = dist to gap (0,0) = 1.1
-    TestGen.assertSameDist(KPF.pointMinCost(Point(1.1, 0), d, erp), 0.1, 1e-9)
+    TestGen.assertSameDist(ScanOracles.pointMinCost(Point(1.1, 0), d, erp), 0.1, 1e-9)
     // query point far away: deletion (to gap) may win
     val far = Point(0.2, 0)
-    TestGen.assertSameDist(KPF.pointMinCost(far, d, erp), 0.2, 1e-9)
+    TestGen.assertSameDist(ScanOracles.pointMinCost(far, d, erp), 0.2, 1e-9)
+  }
+
+  // Theorem B.1's term is written once, for DTW, FD, ERP and EDR; both the
+  // estimate (by scan at r = 0.05, by grid at r = 1) and the box bound give
+  // every other function 0.
+  test("KPF estimate and box bound answer 0 for the same point functions: the custom WED") {
+    val r = new Random(10)
+    val d = TestGen.randPoints(r, 30)
+    val q = TestGen.randPoints(r, 12).map(p => Point(p.x + 3, p.y)) // far from d
+    val box = KPF.Box(d.map(_.x).min, d.map(_.x).max, d.map(_.y).min, d.map(_.y).max)
+    val zeroBox = TestGen.pointFns.filter(fn => KPF.boxBound(q, fn, box, Double.PositiveInfinity) == 0.0)
+    assert(zeroBox.map(_.name) == Seq("WEDC"))
+    for (rate <- Seq(0.05, 1.0))
+      assert(TestGen.pointFns.filter(fn => KPF.estimate(q, d, fn, rate) == 0.0) == zeroBox, s"r=$rate")
   }
 
   test("KPF key point sampling covers the query uniformly") {
@@ -205,7 +219,7 @@ class PruningSpec extends AnyFunSuite {
     }
 
   // --- Algorithm 3 pipeline exactness under safe parameters ---
-  for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.erp(Point(0.5, 0.5))); seed <- 0 until 6)
+  for (fn <- TestGen.pointFns; seed <- 0 until 6)
     test(s"pipeline with KPF-only (safe r=1) is exact [${fn.name} seed=$seed]") {
       val db = smallDb(seed + 40)
       val q = TestGen.randPoints(new Random(seed + 99), 6).toArray

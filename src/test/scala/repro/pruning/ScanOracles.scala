@@ -2,26 +2,39 @@ package repro.pruning
 
 import repro.core._
 
-/** Reference versions of the pruning bounds, kept as test oracles: the
-  * unsampled KPF bound, the KPF estimate that scans every data point for
-  * every key point, and GBP's close count over a hash set of dilated data
-  * cells.
+/** Reference versions of the pruning bounds, kept as test oracles: Theorem
+  * B.1's per-point term through `fn.sub`, the unsampled KPF bound, the KPF
+  * estimate that scans every data point for every key point, and GBP's close
+  * count over a hash set of dilated data cells.
   */
 object ScanOracles {
+
+  /** `minCost(q[i], τd)` for one query point under `fn`. */
+  def pointMinCost(qi: Point, d: IndexedSeq[Point], fn: DistFn[Point]): Double = {
+    var minSub = Double.PositiveInfinity
+    var j = 0
+    while (j < d.length) { val s = fn.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
+    fn match {
+      case WedFn(_, c) => math.min(c.del(qi), minSub)
+      case _           => minSub // DTW/FD deletion cost = sub with the matched point
+    }
+  }
 
   /** Exact (unsampled) lower bound `minCost(τq, τd)` of Theorem B.1. */
   def lowerBound(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point]): Double = fn match {
     case FrechetFn(_, _) =>
       var i = 0; var mx = 0.0
-      while (i < q.length) { val c = KPF.pointMinCost(q(i), d, fn); if (c > mx) mx = c; i += 1 }
+      while (i < q.length) { val c = pointMinCost(q(i), d, fn); if (c > mx) mx = c; i += 1 }
       mx
     case _ =>
       var i = 0; var sum = 0.0
-      while (i < q.length) { sum += KPF.pointMinCost(q(i), d, fn); i += 1 }
+      while (i < q.length) { sum += pointMinCost(q(i), d, fn); i += 1 }
       sum
   }
 
-  /** `KPF.estimate` with `KPF.pointMinCost` (an m·n scan) for every key point. */
+  /** The KPF estimate with `pointMinCost` (an m·n scan) for every key point:
+    * `KPF.estimate` bit for bit for DTW, FD, ERP and EDR, which KPF bounds.
+    */
   def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
                stopAt: Double = Double.PositiveInfinity): Double = {
     val idx = KPF.keyPointIdx(q.length, r)
@@ -29,14 +42,14 @@ object ScanOracles {
       case FrechetFn(_, _) =>
         var mx = 0.0; var k = 0
         while (k < idx.length && mx < stopAt) {
-          val c = KPF.pointMinCost(q(idx(k)), d, fn); if (c > mx) mx = c; k += 1
+          val c = pointMinCost(q(idx(k)), d, fn); if (c > mx) mx = c; k += 1
         }
         mx
       case _ =>
         def scaled(s: Double) = if (idx.length == q.length) s else s * q.length / idx.length
         var sum = 0.0; var k = 0
         while (k < idx.length && scaled(sum) < stopAt) {
-          sum += KPF.pointMinCost(q(idx(k)), d, fn); k += 1
+          sum += pointMinCost(q(idx(k)), d, fn); k += 1
         }
         scaled(sum)
     }

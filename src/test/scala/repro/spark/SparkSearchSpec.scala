@@ -160,24 +160,28 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
       assert(cut * 2 >= examined, s"the box cut $cut of $examined")
     }
 
-  test("the box pass rejects an empty trajectory and a non-finite coordinate in the data") {
+  test("a bad data trajectory is rejected as a Traj is made, on the driver and in the tasks") {
     import spark.implicits._
     val k = 3
-    // The bad trajectory comes after the first k of its partition, where a
-    // gate that accepted its box would already cut against the k-th best.
-    val good = local.take(2 * k)
-    val t = good.head.copy(id = 99L)
-    val bad = Seq(Traj(99L, Array.empty, Array.empty) -> "must not be empty") ++
-      Seq(t.copy(ys = t.ys.dropRight(1)), t.copy(ys = t.ys :+ 0.0)).map(_ -> "as many ys as xs") ++
+    // The bad row comes after the first k of its partition, where a gate
+    // that accepted its box would already cut against the k-th best.
+    val good = local.take(2 * k).toSeq.map(t => (t.id, t.xs, t.ys))
+    val t = local.head
+    val bad = Seq((Array.empty[Double], Array.empty[Double]) -> "must not be empty") ++
+      Seq((t.xs, t.ys.dropRight(1)), (t.xs, t.ys :+ 0.0)).map(_ -> "as many ys as xs") ++
       Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).flatMap { v =>
-        Seq(t.copy(xs = t.xs.updated(t.length / 2, v)), t.copy(ys = t.ys.updated(t.length - 1, v))).map(_ -> "must be finite")
+        Seq((t.xs.updated(t.length / 2, v), t.ys), (t.xs, t.ys.updated(t.length - 1, v))).map(_ -> "must be finite")
       }
-    for ((b, msg) <- bad; fn <- fns) {
-      val ds = spark.sparkContext.parallelize(good.toSeq :+ b, 1).toDS()
-      val e = intercept[Exception](SparkSearch.topKBatch(ds, Array(q), fn, k))
-      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
-      assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), s"${fn.name}: $e")
-      assert(e.getMessage.contains(msg), e.getMessage)
+    for (((xs, ys), msg) <- bad) {
+      val onDriver = intercept[IllegalArgumentException](Traj(99L, xs, ys))
+      assert(onDriver.getMessage.contains(msg), onDriver.getMessage)
+      val ds = spark.sparkContext.parallelize(good :+ ((99L, xs, ys)), 1).toDF("id", "xs", "ys").as[Traj]
+      for (fn <- fns) {
+        val e = intercept[Exception](SparkSearch.topKBatch(ds, Array(q), fn, k))
+        val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+        assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), s"${fn.name}: $e")
+        assert(e.getMessage.contains(msg), e.getMessage)
+      }
     }
   }
 
