@@ -12,39 +12,45 @@ object TopK {
   /** Answer order: ascending distance, ties to the lower trajectory id. */
   private val ranked: Ordering[Hit] = Ordering.by((h: Hit) => (h.dist, h.trajId))
 
+  /** Best-first visiting order of `(bound, trajId)` keys: ascending bound,
+    * ties to the lower id.
+    */
+  val byBound: Ordering[(Double, Long)] = Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)
+
   /** The `k` first of `hits` in answer order, e.g. the global top-K of
     * per-partition top-K lists.
     */
   def merge(hits: Array[Hit], k: Int): Array[Hit] = hits.sorted(ranked).take(k)
 
   /** K best hits (ascending distance), one per data trajectory, using
-    * `search` for every trajectory. A hit replaces the k-th best only when
-    * strictly closer, and the k-th best is the last held hit in answer
-    * order, so over data in ascending id order the hits are the k first in
-    * answer order.
+    * `search` for every trajectory: the k first in answer order, whatever
+    * order the data arrives in.
     */
   def search[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
                    search: (Q, D) => SubtrajResult): Array[Hit] =
     searchBelow(q, data, k, (a: Q, b: D, _: Double) => Some(search(a, b)))
 
   /** The one incumbent loop, with one hook: [[search]] with a search that
-    * sees the current k-th best distance (`+inf` until k hits are held) and
-    * may answer `None` for any reason (a filter, `repro.pruning.Pruner.gate`,
-    * or a DP stopped early, `CMA.searchBelow`); that trajectory never enters
-    * the heap. The hits are the full search's where each `None` proves the
-    * trajectory's optimum no closer than the k-th best it was handed.
+    * sees a threshold and may answer `None` for any reason (a bound that
+    * reaches it, `repro.pruning.Pruner.search`, or a DP stopped early,
+    * `CMA.searchBelow`); that trajectory never enters the heap. The
+    * threshold is `+inf` until k hits are held, then the k-th best distance,
+    * or its `Math.nextUp` for a trajectory whose id is below the k-th hit's,
+    * which would take its place at an equal distance. A hit replaces the
+    * k-th when it is smaller in answer order, so the hits are the k first in
+    * answer order, in any data order, where each `None` proves the
+    * trajectory's optimum no closer than the threshold it was handed.
     */
   def searchBelow[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
                         search: (Q, D, Double) => Option[SubtrajResult]): Array[Hit] = {
     require(k >= 1, "k must be >= 1")
     val heap = new scala.collection.mutable.PriorityQueue[Hit]()(ranked) // its head is the k-th best
     for ((id, d) <- data) {
-      val kth = if (heap.size < k) Double.PositiveInfinity else heap.head.dist
-      search(q, d, kth) match {
-        case Some(r) =>
-          if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
-          else if (r.dist < kth) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
-        case None =>
+      val threshold = if (heap.size < k) Double.PositiveInfinity
+                      else if (id < heap.head.trajId) Math.nextUp(heap.head.dist) else heap.head.dist
+      search(q, d, threshold).map(r => Hit(id, r.start, r.end, r.dist)).foreach { h =>
+        if (heap.size < k) heap.enqueue(h)
+        else if (ranked.lt(h, heap.head)) { heap.dequeue(); heap.enqueue(h) }
       }
     }
     heap.toArray.sorted(ranked)

@@ -2,9 +2,10 @@ package repro.pruning
 
 import repro.core._
 
-/** Key Points Filter (Appendix B): prune a data trajectory when a cheap
-  * lower bound on the query-to-trajectory conversion cost already exceeds
-  * the best distance found so far.
+/** Key Points Filter (Appendix B): a cheap lower bound on the
+  * query-to-trajectory conversion cost, by which a search visits the data
+  * trajectories and prunes one once its bound reaches the best distance
+  * found so far.
   *
   * Per-point bound (Theorem B.1): `minCost(q[i], τd) = min(del(q[i]),
   * min_j sub(q[i], d[j]))` — summed over all query points it lower-bounds
@@ -19,7 +20,7 @@ import repro.core._
   * [[GridMinKeys]] key points, both bit-equal to the m·n scan's minimum, and
   * `boxBound` takes `d`'s bounding [[Box]]. Every other function gets 0, a
   * sound bound. KPF is typed on `Point`, as are its callers (`Pruner.gate`,
-  * the Spark box gate): the road-network functions never reach it.
+  * the Spark top-K's box order): the road-network functions never reach it.
   */
 object KPF {
 
@@ -38,15 +39,13 @@ object KPF {
   }
 
   /** Sampled estimate `minCost_e` (Eq. 28): `1/r`-scaled for sum-type
-    * functions, plain max for FD, stopped at `stopAt` as [[combine]] is; 0
-    * for a function without a [[euclidTerm]].
+    * functions, plain max for FD; 0 for a function without a [[euclidTerm]].
     */
-  def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
-               stopAt: Double = Double.PositiveInfinity): Double = {
+  def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double): Double = {
     val idx = keyPointIdx(q.length, r)
     euclidTerm(fn).fold(0.0) { term =>
       val t = term((if (idx.length >= GridMinKeys) PointGrid(d) else None).getOrElse(new Scan(d)))
-      combine(fn, q.length, idx.length, stopAt)(k => t(q(idx(k))))
+      combine(fn, q.length, idx.length)(k => t(q(idx(k))))
     }
   }
 
@@ -63,30 +62,26 @@ object KPF {
     * distance from `q[i]` to `d`'s bounding `box`, for DTW, FD, ERP and EDR;
     * 0 for every other function. The bound is `<=` [[estimate]] at r = 1.
     */
-  def boxBound(q: IndexedSeq[Point], fn: DistFn[Point], box: Box, stopAt: Double): Double =
+  def boxBound(q: IndexedSeq[Point], fn: DistFn[Point], box: Box): Double =
     euclidTerm(fn).fold(0.0) { term =>
       val t = term(box)
-      combine(fn, q.length, q.length, stopAt)(i => t(q(i)))
+      combine(fn, q.length, q.length)(i => t(q(i)))
     }
 
   /** Theorem B.1's combination of `n` terms `term(k)` of an `m`-point query:
     * their max for FD, else their sum scaled by `m / n`, but not at `n = m`,
-    * where `sum * m / m` can round an ulp above the sum and the optimum. It
-    * stops once the value that would be returned reaches `stopAt`; terms are
-    * non-negative, so the result is `>= stopAt` exactly when the full one
-    * is, and below `stopAt` the two are equal.
+    * where `sum * m / m` can round an ulp above the sum and the optimum.
     */
-  private def combine(fn: DistFn[Point], m: Int, n: Int, stopAt: Double)(term: Int => Double): Double =
+  private def combine(fn: DistFn[Point], m: Int, n: Int)(term: Int => Double): Double =
     fn match {
       case FrechetFn(_, _) =>
         var mx = 0.0; var k = 0
-        while (k < n && mx < stopAt) { val c = term(k); if (c > mx) mx = c; k += 1 }
+        while (k < n) { val c = term(k); if (c > mx) mx = c; k += 1 }
         mx
       case _ =>
-        def scaled(s: Double) = if (n == m) s else s * m / n
         var sum = 0.0; var k = 0
-        while (k < n && scaled(sum) < stopAt) { sum += term(k); k += 1 }
-        scaled(sum)
+        while (k < n) { sum += term(k); k += 1 }
+        if (n == m) sum else sum * m / n
     }
 
   /** Distances to a trajectory's points: exact ([[PointGrid]], [[Scan]]) or a lower bound ([[Box]]). */

@@ -10,9 +10,10 @@ import scala.reflect.ClassTag
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
   * every partition runs the shared top-K loop (`TopK.searchBelow`, with
-  * `CMA.searchBelow` behind an exact bounding-box gate) once per query of the
-  * batch, and the driver merges the at most `K × partitions` hits per query
-  * by `(dist, trajId)` (`TopK.merge`), the order that loop itself uses.
+  * `CMA.searchBelow`, visiting trajectories in exact bounding-box bound
+  * order and cutting by that bound) once per query of the batch, and the
+  * driver merges the at most `K × partitions` hits per query by `(dist,
+  * trajId)` (`TopK.merge`), the order that loop itself uses.
   * Every hit equals the unpruned `TopK.cma`'s. Table 3's heuristic GBP→KPF
   * gate is not on this path: `Harness.table3` runs `Pruner.search` in each
   * partition over `eachPartition`.
@@ -31,20 +32,21 @@ object SparkSearch {
   def eachPartition[A: ClassTag](data: Dataset[Traj])(f: Seq[Traj] => IterableOnce[A]): Array[A] =
     data.rdd.mapPartitions(it => f(it.toVector).iterator).collect()
 
-  /** Global top-K hits for query `q` under `fn`, searched by CMA behind the
-    * exact box gate: `topKBatch` with a batch of one.
+  /** Global top-K hits for query `q` under `fn`, searched by CMA in exact
+    * box-bound order: `topKBatch` with a batch of one.
     */
   def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int): Array[TopK.Hit] =
     topKBatch(data, Array(q), fn, k).head
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
-    * one job: each partition keeps a local top-K per query, searched by
-    * `CMA.searchBelow` below the partition's k-th best, with the exact box
-    * gate folded into the search: once k hits are held it answers `None` for
-    * a trajectory whose `KPF.boxBound` reaches the k-th best, and only a
-    * trajectory that passes has its points built. A bad data trajectory
-    * fails the task as `Traj`'s constructor rejects it; a query with no point
-    * or a non-finite coordinate is rejected on the driver.
+    * one job: each partition keeps a local top-K per query, visiting its
+    * trajectories in ascending `(KPF.boxBound, id)` order, searched by
+    * `CMA.searchBelow` below the threshold `TopK.searchBelow` hands it; the
+    * search answers `None` for a trajectory whose box bound reaches that
+    * threshold, and only a trajectory it searches has its points built. A
+    * bad data trajectory fails the task as `Traj`'s constructor rejects it;
+    * a query with no point or a non-finite coordinate is rejected on the
+    * driver.
     */
   def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int): Array[Array[TopK.Hit]] = {
     require(k >= 1, "k must be >= 1")
@@ -55,17 +57,14 @@ object SparkSearch {
       val ds = trajs.map(t => (t.id, new Boxed(t)))
       Iterator.single(qs.map { q =>
         val qi = ArraySeq.unsafeWrapArray(q)
-        val gate = boxGate(qi, fn)
-        TopK.searchBelow(qi, ds, k, (a: IndexedSeq[Point], b: Boxed, kth: Double) =>
-          if (gate(b, kth)) CMA.searchBelow(a, b.points, fn, kth) else None)
+        val byBox = ds.map { case (id, b) => (id, (KPF.boxBound(qi, fn, b.box), b)) }
+          .sortBy { case (id, (lb, _)) => (lb, id) }(TopK.byBound)
+        TopK.searchBelow(qi, byBox, k, (a: IndexedSeq[Point], lb: (Double, Boxed), kth: Double) =>
+          if (lb._1 >= kth) None else CMA.searchBelow(a, lb._2.points, fn, kth))
       })
     }
     Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))
   }
-
-  /** The gate: once k hits are held, pass while `KPF.boxBound` < the k-th best. */
-  private[spark] def boxGate(q: IndexedSeq[Point], fn: DistFn[Point]): (Boxed, Double) => Boolean =
-    (b, kth) => kth == Double.PositiveInfinity || KPF.boxBound(q, fn, b.box, kth) < kth
 
   /** A trajectory's bounding box, from one pass over `xs`/`ys`, and its
     * points, built on first use.

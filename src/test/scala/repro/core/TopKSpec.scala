@@ -91,6 +91,45 @@ class TopKSpec extends AnyFunSuite {
     assert(TopK.cma(q, data, 3, Dist.dtw).map(_.trajId).toSeq == Seq(3L, 0L, 1L))
   }
 
+  // Data in any order: copies of five trajectories under new ids tie with
+  // them exactly (half the queries are pieces of a copied one), and EDR's
+  // integer distances tie at the k-th. The hits are TopK.cma's over the
+  // data in id order, hit for hit.
+  for (fn <- Seq(Dist.dtw, Dist.edr(0.3)); k <- Seq(1, 3, 10))
+    test(s"searchBelow with CMA.searchBelow == TopK.cma hit for hit in any data order [${fn.name} k=$k]") {
+      var tiesAtK = 0
+      for (seed <- 0 until 12) {
+        val r = new Random(seed * 13 + k)
+        val base = db(seed + 200, 14)
+        val data = base ++ base.take(5).map { case (id, d) => (id + 50, d) }
+        val q = if (seed % 2 == 0) base(r.nextInt(5))._2.take(4) else TestGen.randPoints(r, 5)
+        val want = TopK.cma(q, data, k, fn)
+        for (_ <- 0 until 4) {
+          val got = TopK.searchBelow(q, r.shuffle(data), k,
+            (a: IndexedSeq[Point], b: IndexedSeq[Point], kth: Double) => CMA.searchBelow(a, b, fn, kth))
+          assert(got.toSeq == want.toSeq, s"seed=$seed")
+        }
+        val dists = data.map { case (_, d) => CMA.search(q, d, fn).dist }
+        if (dists.count(_ == want.last.dist) > want.count(_.dist == want.last.dist)) tiesAtK += 1
+      }
+      assert(tiesAtK > 0, "no tie crossed the k-th place")
+    }
+
+  test("a trajectory whose id is below the k-th hit's is handed Math.nextUp of the k-th distance") {
+    // Descending ids: from the third trajectory on, every id is below the
+    // k-th hit's, so an equal distance would take its place.
+    val data = db(6, 8).reverse
+    val q = TestGen.randPoints(new Random(13), 4)
+    val seen = scala.collection.mutable.ArrayBuffer.empty[Double]
+    TopK.searchBelow(q, data, 2, (a: IndexedSeq[Point], b: IndexedSeq[Point], kth: Double) => {
+      seen += kth; Some(CMA.search(a, b, Dist.dtw))
+    })
+    val dists = data.map { case (_, d) => CMA.search(q, d, Dist.dtw).dist }
+    val want = dists.indices.map(i =>
+      if (i < 2) Double.PositiveInfinity else Math.nextUp(dists.take(i).sorted.apply(1)))
+    assert(seen.toSeq == want)
+  }
+
   test("topK rejects k < 1") {
     intercept[IllegalArgumentException] {
       TopK.cma(TestGen.randPoints(new Random(1), 3), db(1, 3), 0, Dist.dtw)

@@ -82,11 +82,7 @@ class PointGridSpec extends AnyFunSuite {
         val scale = Seq(0.1, 1.0, 30.0)(r.nextInt(3))
         val q = TestGen.randPoints(r, 1 + r.nextInt(200), scale)
         val d = TestGen.randPoints(r, 1 + r.nextInt(400), scale)
-        val full = ScanOracles.estimate(q, d, fn, rate)
-        assert(bits(KPF.estimate(q, d, fn, rate)) == bits(full))
-        for (t <- Seq(0.0, full, Math.nextDown(full), Math.nextUp(full), full * (0.5 + r.nextDouble())))
-          assert(bits(KPF.estimate(q, d, fn, rate, stopAt = t)) == bits(ScanOracles.estimate(q, d, fn, rate, t)),
-            s"stopAt=$t full=$full")
+        assert(bits(KPF.estimate(q, d, fn, rate)) == bits(ScanOracles.estimate(q, d, fn, rate)))
       }
     }
 

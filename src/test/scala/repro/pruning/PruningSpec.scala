@@ -8,7 +8,8 @@ import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 /** GBP / KPF: soundness of the lower bounds (Theorem B.1), grid semantics,
-  * and exactness of the full Algorithm-3 pipeline under safe parameters.
+  * the best-first order of the Algorithm-3 pipeline against the scan
+  * oracles, and its exactness under safe parameters.
   */
 class PruningSpec extends AnyFunSuite {
 
@@ -16,12 +17,33 @@ class PruningSpec extends AnyFunSuite {
   private def searchArrays(fn: DistFn[Point]): (Array[Point], Array[Point]) => SubtrajResult =
     (a, b) => CMA.search(ArraySeq.unsafeWrapArray(a), ArraySeq.unsafeWrapArray(b), fn)
 
-  /** CMA under `fn` behind `gate`, folded in as `Pruner.search` folds it:
-    * `None` for a trajectory the gate cuts.
+  /** A search that fails the test: `Pruner.search` must reject first. */
+  private val noSearch: (Array[Point], Array[Point]) => SubtrajResult =
+    (_, _) => fail("searched before the input was rejected")
+
+  private def wrapped(db: collection.Seq[(Long, Array[Point])]): Seq[(Long, IndexedSeq[Point])] =
+    db.map { case (id, d) => (id, ArraySeq.unsafeWrapArray(d): IndexedSeq[Point]) }.toSeq
+
+  /** `Pruner.search` (k = 1), over `db` and over `db` shuffled, equals the
+    * best-first oracle keyed by the scanned estimate, hit and `Stats`; at
+    * k = 3, the oracle's loop over `Pruner.gate`'s keys equals it over the
+    * scanned keys. The bounds are bit-identical, so the order is too. Every
+    * trajectory is cut by GBP or KPF or searched. Returns the KPF cuts.
     */
-  private def behind(gate: (IndexedSeq[Point], Double) => Boolean, fn: DistFn[Point]) =
-    (a: IndexedSeq[Point], b: IndexedSeq[Point], kth: Double) =>
-      if (gate(b, kth)) Some(CMA.search(a, b, fn)) else None
+  private def matchesOracle(q: Array[Point], db: Array[(Long, Array[Point])], fn: DistFn[Point],
+                            params: Pruner.Params, r: Random): Int =
+    Seq(1, 3).map { k =>
+      val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
+      val want = ScanOracles.bestFirst(q, wrapped(db), k, ScanOracles.key(q, fn, params, wantStats), fn, wantStats)
+      val got =
+        if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
+        else ScanOracles.bestFirst(q, wrapped(db), k, Pruner.gate(q, fn, params, gotStats), fn, gotStats)
+      assert(got.toSeq == want.toSeq, s"k=$k params=$params")
+      assert(gotStats == wantStats, s"k=$k params=$params")
+      if (k == 1) assert(Pruner.search(q, r.shuffle(db.toSeq), fn, params, searchArrays(fn)).toSeq == want.toSeq)
+      assert(wantStats.gbpPruned + wantStats.kpfPruned + wantStats.searched == wantStats.examined, s"$wantStats")
+      wantStats.kpfPruned
+    }.sum
 
   private def smallDb(seed: Int, n: Int = 10): Array[(Long, Array[Point])] = {
     val r = new Random(seed)
@@ -55,7 +77,7 @@ class PruningSpec extends AnyFunSuite {
     val d = TestGen.randPoints(r, 30)
     val q = TestGen.randPoints(r, 12).map(p => Point(p.x + 3, p.y)) // far from d
     val box = KPF.Box(d.map(_.x).min, d.map(_.x).max, d.map(_.y).min, d.map(_.y).max)
-    val zeroBox = TestGen.pointFns.filter(fn => KPF.boxBound(q, fn, box, Double.PositiveInfinity) == 0.0)
+    val zeroBox = TestGen.pointFns.filter(fn => KPF.boxBound(q, fn, box) == 0.0)
     assert(zeroBox.map(_.name) == Seq("WEDC"))
     for (rate <- Seq(0.05, 1.0))
       assert(TestGen.pointFns.filter(fn => KPF.estimate(q, d, fn, rate) == 0.0) == zeroBox, s"r=$rate")
@@ -101,45 +123,56 @@ class PruningSpec extends AnyFunSuite {
     for (eps <- Seq(Double.MinPositiveValue, 0.9, Double.MaxValue)) assert(Pruner.Params(eps = eps).eps == eps)
   }
 
-  // --- KPF early stop at the incumbent ---
-  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
-
-  for (fn <- TestGen.pointFns; rate <- Seq(0.05, 1.0))
-    test(s"KPF estimate stopped at a threshold decides as the full estimate [${fn.name} r=$rate]") {
-      val r = new Random(fn.name.hashCode + (rate * 100).toInt)
-      for (_ <- 0 until 40) {
-        val q = TestGen.randPoints(r, 1 + r.nextInt(80))
-        val d = TestGen.randPoints(r, 1 + r.nextInt(30))
-        val full = KPF.estimate(q, d, fn, rate)
-        val around = Seq(0.0, full, Math.nextDown(full), Math.nextUp(full),
-          Double.PositiveInfinity) ++ Seq.fill(8)(full * (0.5 + r.nextDouble()))
-        for (t <- around) {
-          val stopped = KPF.estimate(q, d, fn, rate, stopAt = t)
-          assert((stopped >= t) == (full >= t), s"stopAt=$t full=$full stopped=$stopped")
-          if (full < t) assert(bits(stopped) == bits(full), s"stopAt=$t full=$full stopped=$stopped")
-        }
-      }
-    }
-
+  // --- Best-first order: each Pruner.search against the scan oracles ---
+  // The KPF cut is the early stop: a trajectory whose full estimate reaches
+  // its threshold is never searched.
   for (fn <- TestGen.pointFns.take(4); rate <- Seq(0.05, 1.0))
     test(s"gate with early-stopped KPF keeps hits and stats [${fn.name} r=$rate]") {
       var kpfPruned = 0
-      for (seed <- 0 until 6; k <- Seq(1, 3)) {
+      for (seed <- 0 until 6) {
         val r = new Random(seed + 300)
         val db = Array.tabulate(30)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(30)).toArray))
         val q = TestGen.randPoints(r, 20 + r.nextInt(40)).toArray
         val params = Pruner.Params(eps = 0.2, mu = 0.1, r = rate, useGBP = seed % 2 == 0)
-        val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
-        val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
-        val got =
-          if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
-          else TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(Pruner.gate(q, fn, params, gotStats), fn))
-        val want = TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(ScanOracles.gate(q, fn, params, wantStats), fn))
-        assert(got.toSeq == want.toSeq, s"seed=$seed k=$k")
-        assert(gotStats == wantStats, s"seed=$seed k=$k")
-        kpfPruned += wantStats.kpfPruned
+        kpfPruned += matchesOracle(q, db, fn, params, r)
       }
       assert(kpfPruned > 0, "KPF never pruned")
+    }
+
+  // Copies of four trajectories under new ids tie with them exactly, and
+  // half the queries are pieces of a copied trajectory, so the best hit ties.
+  for (fn <- TestGen.pointFns)
+    test(s"r = 1 without GBP: Pruner.search == TopK.cma hit for hit, in any data order [${fn.name}]") {
+      val params = Pruner.Params(eps = 1.0, r = 1.0, useGBP = false)
+      for (seed <- 0 until 20) {
+        val r = new Random(seed + 500)
+        val base = smallDb(seed + 500, 12)
+        val db = base.toSeq ++ base.take(4).map { case (id, d) => (id + 100, d) }
+        val q = if (seed % 2 == 0) base(r.nextInt(4))._2.take(5) else TestGen.randPoints(r, 6).toArray
+        val want = TopK.cma(ArraySeq.unsafeWrapArray(q), wrapped(db), 1, fn).headOption
+        for (_ <- 0 until 3)
+          assert(Pruner.search(q, r.shuffle(db), fn, params, searchArrays(fn)) == want, s"seed=$seed")
+      }
+    }
+
+  // Best-first at k = 1 searches only trajectories whose bound is at most
+  // the optimum; id order searches every one whose bound is below it
+  // (DESIGN.md §3). EDR's integer bounds tie, so it is left out.
+  for (fn <- TestGen.pointFns.filter(f => Set("DTW", "ERP", "FD")(f.name)))
+    test(s"best-first searches no more trajectories than id order at k = 1 [${fn.name}]") {
+      val params = Pruner.Params(eps = 1.0, r = 1.0, useGBP = false)
+      var (best, byId) = (0, 0)
+      for (seed <- 0 until 30) {
+        val db = smallDb(seed + 700, 25)
+        val q = TestGen.randPoints(new Random(seed + 800), 3 + seed % 8).toArray
+        val (got, want) = (Pruner.Stats(), Pruner.Stats())
+        val hit = Pruner.search(q, db, fn, params, searchArrays(fn), got)
+        val idHits = ScanOracles.idOrder(q, wrapped(db), 1, ScanOracles.key(q, fn, params, want), fn, want)
+        assert(hit.toSeq == idHits.toSeq, s"seed=$seed")
+        assert(got.searched <= want.searched, s"seed=$seed best-first $got id order $want")
+        best += got.searched; byId += want.searched
+      }
+      assert(best < byId, s"best-first searched $best, id order $byId")
     }
 
   // --- GBP grid semantics ---
@@ -199,21 +232,13 @@ class PruningSpec extends AnyFunSuite {
     test(s"grid KPF keeps the scan gate's hits and stats on Beijing trajectories [${fn.name}]") {
       val spec = Workloads.beijing
       val db = Workloads.dataLocal(spec).take(10).map(t => (t.id, t.points))
-      val wrapped = db.map { case (id, d) => (id, d.toIndexedSeq) }
+      val r = new Random(fn.name.hashCode)
       var kpfPruned = 0
       for (q <- Workloads.queries(spec);
            params <- Seq(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false),
-                         Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05));
-           k <- Seq(1, 3)) {
+                         Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05))) {
         assert(q.length <= 200 && db.forall(_._2.length <= 3000))
-        val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
-        val got =
-          if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
-          else TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(Pruner.gate(q, fn, params, gotStats), fn))
-        val want = TopK.searchBelow(q.toIndexedSeq, wrapped, k, behind(ScanOracles.gate(q, fn, params, wantStats), fn))
-        assert(got.toSeq == want.toSeq, s"k=$k params=$params")
-        assert(gotStats == wantStats, s"k=$k params=$params")
-        kpfPruned += wantStats.kpfPruned
+        kpfPruned += matchesOracle(q, db, fn, params, r)
       }
       assert(kpfPruned > 0, "KPF never pruned")
     }
@@ -228,14 +253,14 @@ class PruningSpec extends AnyFunSuite {
       val want = db.map { case (_, d) => searchArrays(fn)(q, d).dist }.sorted
       TestGen.assertSameDist(got.dist, want.head)
       // k = 3: KPF prunes against the third-best distance.
-      val top3 = TopK.searchBelow(q.toIndexedSeq, db.map { case (id, d) => (id, d.toIndexedSeq) }, 3,
-        behind(Pruner.gate(q, fn, params), fn))
+      val top3 = ScanOracles.bestFirst(q, wrapped(db), 3, Pruner.gate(q, fn, params), fn, Pruner.Stats())
       assert(top3.length == 3)
       for ((h, w) <- top3.zip(want)) TestGen.assertSameDist(h.dist, w)
     }
 
-  // GBP would cut an empty trajectory (no close points), and so would KPF
-  // once an incumbent exists (its bound over no points is +inf).
+  // GBP would cut an empty trajectory (no close points), and KPF would
+  // sort it last (its bound over no points is +inf). Every trajectory is
+  // keyed before any is searched, so the rejection comes before a search.
   test("gate rejects an empty data trajectory before GBP or KPF, first or second") {
     val d = TestGen.randPoints(new Random(8), 12).toArray
     val q = d.take(5)
@@ -245,11 +270,28 @@ class PruningSpec extends AnyFunSuite {
         else Seq((0L, d), (1L, Array.empty[Point]))
       val stats = Pruner.Stats()
       val params = Pruner.Params(eps = 0.5, mu = 0.4, useGBP = useGBP)
-      assertThrows[IllegalArgumentException](
-        Pruner.search(q, data, Dist.dtw, params, searchArrays(Dist.dtw), stats))
+      assertThrows[IllegalArgumentException](Pruner.search(q, data, Dist.dtw, params, noSearch, stats))
       // Only the trajectories before the empty one are counted.
-      val want = if (emptyFirst) Pruner.Stats() else Pruner.Stats(examined = 1, searched = 1)
+      val want = if (emptyFirst) Pruner.Stats() else Pruner.Stats(examined = 1)
       assert(stats == want, s"useGBP=$useGBP emptyFirst=$emptyFirst")
+    }
+  }
+
+  // A NaN bound would sort last and be searched without a word.
+  test("Pruner.search rejects an empty query and a non-finite query coordinate before any bound") {
+    val db = smallDb(3)
+    val q = TestGen.randPoints(new Random(4), 6).toArray
+    val bad = Array.empty[Point] +: (for {
+      v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+      i <- Seq(0, 3)
+      p <- Seq(q(i).copy(x = v), q(i).copy(y = v))
+    } yield q.updated(i, p))
+    for (b <- bad; fn <- TestGen.pointFns; useGBP <- Seq(true, false)) {
+      val stats = Pruner.Stats()
+      val params = Pruner.Params(eps = 0.5, r = 1.0, useGBP = useGBP)
+      val e = intercept[IllegalArgumentException](Pruner.search(b, db, fn, params, noSearch, stats))
+      assert(e.getMessage.contains(if (b.isEmpty) "must not be empty" else "must be finite"), e.getMessage)
+      assert(stats == Pruner.Stats(), s"${fn.name} useGBP=$useGBP")
     }
   }
 

@@ -5,7 +5,8 @@ import repro.core._
 /** Reference versions of the pruning bounds, kept as test oracles: Theorem
   * B.1's per-point term through `fn.sub`, the unsampled KPF bound, the KPF
   * estimate that scans every data point for every key point, and GBP's close
-  * count over a hash set of dilated data cells.
+  * count over a hash set of dilated data cells; and the two orders of the
+  * pruned search: best-first, as `Pruner.search` visits, and id order.
   */
 object ScanOracles {
 
@@ -35,23 +36,14 @@ object ScanOracles {
   /** The KPF estimate with `pointMinCost` (an m·n scan) for every key point:
     * `KPF.estimate` bit for bit for DTW, FD, ERP and EDR, which KPF bounds.
     */
-  def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double,
-               stopAt: Double = Double.PositiveInfinity): Double = {
+  def estimate(q: IndexedSeq[Point], d: IndexedSeq[Point], fn: DistFn[Point], r: Double): Double = {
     val idx = KPF.keyPointIdx(q.length, r)
+    val terms = idx.map(i => pointMinCost(q(i), d, fn))
     fn match {
-      case FrechetFn(_, _) =>
-        var mx = 0.0; var k = 0
-        while (k < idx.length && mx < stopAt) {
-          val c = pointMinCost(q(idx(k)), d, fn); if (c > mx) mx = c; k += 1
-        }
-        mx
+      case FrechetFn(_, _) => terms.foldLeft(0.0)((mx, c) => if (c > mx) c else mx)
       case _ =>
-        def scaled(s: Double) = if (idx.length == q.length) s else s * q.length / idx.length
-        var sum = 0.0; var k = 0
-        while (k < idx.length && scaled(sum) < stopAt) {
-          sum += pointMinCost(q(idx(k)), d, fn); k += 1
-        }
-        scaled(sum)
+        val sum = terms.foldLeft(0.0)(_ + _)
+        if (idx.length == q.length) sum else sum * q.length / idx.length
     }
   }
 
@@ -62,20 +54,47 @@ object ScanOracles {
     qCells.count(c => dilated.contains(c))
   }
 
-  /** `Pruner.gate` with the scanned, never early-stopped KPF estimate. */
-  def gate(q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
-           stats: Pruner.Stats): (IndexedSeq[Point], Double) => Boolean = {
+  /** `Pruner.gate`'s key with GBP's hash-set close count and the scanned
+    * KPF estimate.
+    */
+  def key(q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
+          stats: Pruner.Stats): IndexedSeq[Point] => Option[Double] = {
     val qCells = GBP.queryCells(q, params.eps)
-    (d, kth) => {
+    d => {
       stats.examined += 1
       if (params.useGBP && closeCount(qCells, d, params.eps) < params.mu * qCells.length) {
-        stats.gbpPruned += 1; false
-      } else if (kth < Double.PositiveInfinity &&
-                 estimate(q.toIndexedSeq, d, fn, params.r) >= kth) {
-        stats.kpfPruned += 1; false
-      } else {
-        stats.searched += 1; true
-      }
+        stats.gbpPruned += 1; None
+      } else Some(estimate(q.toIndexedSeq, d, fn, params.r))
     }
   }
+
+  /** Best-first top-k (Seidl & Kriegel's multi-step k-NN): every trajectory
+    * keyed first (`None` drops it), the rest visited by `TopK.searchBelow`
+    * in ascending `(key, id)` order, each searched in full by CMA unless its
+    * key reaches the threshold it is handed. At k = 1 this is
+    * `Pruner.search`'s cascade.
+    */
+  def bestFirst(q: Array[Point], data: Seq[(Long, IndexedSeq[Point])], k: Int,
+                key: IndexedSeq[Point] => Option[Double], fn: DistFn[Point],
+                stats: Pruner.Stats): Array[TopK.Hit] = {
+    val keyed = data.flatMap { case (id, d) => key(d).map(e => (e, id, d)) }
+      .sortBy { case (e, id, _) => (e, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
+    TopK.searchBelow(q.toIndexedSeq, keyed.map { case (e, id, d) => (id, (e, d)) }, k,
+      (a: IndexedSeq[Point], ed: (Double, IndexedSeq[Point]), kth: Double) =>
+        if (ed._1 >= kth) { stats.kpfPruned += 1; None }
+        else { stats.searched += 1; Some(CMA.search(a, ed._2, fn)) })
+  }
+
+  /** Algorithm 3 as the paper visits: `key`'s GBP cut, then in id order a
+    * trajectory is cut once k hits are held and its key reaches the k-th
+    * best.
+    */
+  def idOrder(q: Array[Point], data: Seq[(Long, IndexedSeq[Point])], k: Int,
+              key: IndexedSeq[Point] => Option[Double], fn: DistFn[Point],
+              stats: Pruner.Stats): Array[TopK.Hit] =
+    TopK.searchBelow(q.toIndexedSeq, data.sortBy(_._1), k, (a: IndexedSeq[Point], d: IndexedSeq[Point], kth: Double) =>
+      key(d).flatMap { e =>
+        if (e >= kth) { stats.kpfPruned += 1; None }
+        else { stats.searched += 1; Some(CMA.search(a, d, fn)) }
+      })
 }

@@ -6,11 +6,11 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.eval.Workloads
-import repro.pruning.GBP
+import repro.pruning.{GBP, KPF}
 
 import scala.collection.immutable.ArraySeq
 
-/** Distributed search: the Spark dataflow behind its exact box gate must
+/** Distributed search: the Spark dataflow in its exact box-bound order must
   * equal the unpruned driver-side loop, a batch must equal its single
   * queries, and the driver merge is checked against DuckDB via the Oracle
   * (as is the GBP candidate set).
@@ -125,7 +125,7 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   }
 
   // Xi'an trajectories and a copy of each, id + 101, in the next of four
-  // partitions: the k-th best soon falls, and the box gate fires.
+  // partitions: the k-th best soon falls, and the box bound cuts.
   for (fn <- Workloads.distFns(Workloads.xian))
     test(s"default path == TopK.cma hit for hit where the box gate fires [${fn.name} k=1,3,10]") {
       import spark.implicits._
@@ -143,22 +143,48 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
         val want = xqs.map(q => TopK.cma(ArraySeq.unsafeWrapArray(q), driver, k, fn))
         assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"k=$k")
         if (k == 3) assert(got.exists(_.map(_.dist).distinct.length < 3), "copies tie")
-        // Each partition's loop again, with the tasks' gate folded into the
-        // search as they fold it, counting the trajectories it examines and
-        // those it cuts; merged, the replay's hits are the tasks'.
+        // Each partition's loop again, in the tasks' ascending (box bound,
+        // id) order and with their cut, counting the trajectories it
+        // examines and those it cuts; merged, the replay's hits are the tasks'.
         val replay = for (q <- xqs.map(ArraySeq.unsafeWrapArray(_))) yield TopK.merge(parts.toArray.flatMap { part =>
-          val gate = SparkSearch.boxGate(q, fn)
-          TopK.searchBelow(q, part.map(t => (t.id, new SparkSearch.Boxed(t))), k,
-            (a: IndexedSeq[Point], b: SparkSearch.Boxed, kth: Double) => {
-              val pass = gate(b, kth)
+          val byBox = part.map { t =>
+            val b = new SparkSearch.Boxed(t)
+            (KPF.boxBound(q, fn, b.box), t.id, b)
+          }.sortWith { case ((x, i, _), (y, j, _)) => x < y || (x == y && i < j) }
+          TopK.searchBelow(q, byBox.map { case (lb, id, b) => (id, (lb, b)) }, k,
+            (a: IndexedSeq[Point], lbB: (Double, SparkSearch.Boxed), kth: Double) => {
+              val pass = lbB._1 < kth
               examined += 1; if (!pass) cut += 1
-              if (pass) CMA.searchBelow(a, b.points, fn, kth) else None
+              if (pass) CMA.searchBelow(a, lbB._2.points, fn, kth) else None
             })
         }, k)
         assert(replay.map(_.toSeq).toSeq == got.map(_.toSeq).toSeq, s"k=$k replay")
       }
       assert(cut * 2 >= examined, s"the box cut $cut of $examined")
     }
+
+  // One trajectory and a copy under a lower id, in another of four
+  // partitions; each partition in descending id order, so no task sees its
+  // data in id order. Each query's nearest trajectory is copied in turn.
+  test("default path == TopK.cma hit for hit with one trajectory under two ids in different partitions") {
+    import spark.implicits._
+    for (qi <- qs.indices) {
+      val nearest = TopK.cma(ArraySeq.unsafeWrapArray(qs(qi)), driverData, 1, Dist.dtw).head.trajId
+      val orig = local.find(_.id == nearest).get
+      val all = local.toSeq :+ orig.copy(id = -1L)
+      val part = (t: Traj) => ((if (t.id < 0) nearest + 1 else t.id) % 4).toInt
+      val parts = (0 until 4).map(p => all.filter(part(_) == p).sortBy(-_.id))
+      val twice = spark.sparkContext.parallelize(parts.flatten, 4).toDS()
+      val driver = all.sortBy(_.id).map(t => (t.id, ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
+      for (fn <- fns; k <- Seq(1, 3, 10)) {
+        val got = SparkSearch.topKBatch(twice, qs, fn, k)
+        val want = qs.map(q => TopK.cma(ArraySeq.unsafeWrapArray(q), driver, k, fn))
+        assert(got.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"query $qi ${fn.name} k=$k")
+      }
+      val top2 = SparkSearch.topK(twice, qs(qi), Dist.dtw, 2)
+      assert(top2.map(_.trajId).toSeq == Seq(-1L, nearest) && top2(0).dist == top2(1).dist)
+    }
+  }
 
   test("a bad data trajectory is rejected as a Traj is made, on the driver and in the tasks") {
     import spark.implicits._
