@@ -12,11 +12,6 @@ object TopK {
   /** Answer order: ascending distance, ties to the lower trajectory id. */
   private val ranked: Ordering[Hit] = Ordering.by((h: Hit) => (h.dist, h.trajId))
 
-  /** Best-first visiting order of `(bound, trajId)` keys: ascending bound,
-    * ties to the lower id.
-    */
-  val byBound: Ordering[(Double, Long)] = Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)
-
   /** The `k` first of `hits` in answer order, e.g. the global top-K of
     * per-partition top-K lists.
     */
@@ -32,7 +27,7 @@ object TopK {
 
   /** The one incumbent loop, with one hook: [[search]] with a search that
     * sees a threshold and may answer `None` for any reason (a bound that
-    * reaches it, `repro.pruning.Pruner.search`, or a DP stopped early,
+    * reaches it, [[bestFirst]], or a DP stopped early,
     * `CMA.searchBelow`); that trajectory never enters the heap. The
     * threshold is `+inf` until k hits are held, then the k-th best distance,
     * or its `Math.nextUp` for a trajectory whose id is below the k-th hit's,
@@ -54,6 +49,22 @@ object TopK {
       }
     }
     heap.toArray.sorted(ranked)
+  }
+
+  /** Best-first top-K (Seidl & Kriegel's multi-step k-NN, Appendix E): every
+    * trajectory is keyed by `bound` before the first search (`None` drops
+    * it), so a bound that throws does so before any search; the rest are
+    * visited by [[searchBelow]] in ascending `(bound, trajId)` order (ties to
+    * the lower id, bounds under `Ordering.Double.TotalOrdering`), and a
+    * trajectory whose bound is `>=` the threshold it is handed answers
+    * `None` without reaching `search`. The hits are the full search's where
+    * each bound is `<=` its trajectory's optimum.
+    */
+  def bestFirst[Q, D](q: Q, data: Iterable[(Long, D)], k: Int, bound: D => Option[Double],
+                      search: (Q, D, Double) => Option[SubtrajResult]): Array[Hit] = {
+    val keyed = data.flatMap { case (id, d) => bound(d).map(b => (id, (b, d))) }.toSeq
+      .sortBy { case (id, (b, _)) => (b, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
+    searchBelow(q, keyed, k, (a: Q, bd: (Double, D), kth: Double) => if (bd._1 >= kth) None else search(a, bd._2, kth))
   }
 
   /** Top-K with the full CMA under `fn`: the unpruned reference. */

@@ -38,6 +38,16 @@ object KPF {
     Array.tabulate(k)(i => ((i + 0.5) * m / k).toInt.min(m - 1))
   }
 
+  /** The query check of both searches keyed by a KPF bound, `Pruner.search`
+    * and `SparkSearch.topKBatch`, made before any bound: an empty query or a
+    * non-finite query coordinate is rejected with `IllegalArgumentException`,
+    * as a NaN bound would sort last and be searched without a word.
+    */
+  private[repro] def requireQuery(q: Array[Point]): Unit = {
+    require(q.nonEmpty, "queries must not be empty")
+    require(q.forall(p => p.x.isFinite && p.y.isFinite), "query coordinates must be finite")
+  }
+
   /** Sampled estimate `minCost_e` (Eq. 28): `1/r`-scaled for sum-type
     * functions, plain max for FD; 0 for a function without a [[euclidTerm]].
     */

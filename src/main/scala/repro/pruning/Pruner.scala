@@ -6,8 +6,8 @@ import scala.collection.immutable.ArraySeq
 
 /** Algorithm 3's pruning cascade over a database of data trajectories — GBP
   * gate, then KPF lower bound against the incumbent, then the search
-  * algorithm itself — visited best-first: `search` hands the incumbent loop,
-  * `TopK.searchBelow`, the trajectories GBP keeps in ascending KPF order.
+  * algorithm itself — visited best-first: `search` hands `TopK.bestFirst`
+  * the trajectories GBP keeps, keyed by their KPF estimate.
   * Generic in the search algorithm so the efficiency table can run every
   * baseline through the identical cascade (as the paper does for Table 3).
   */
@@ -25,41 +25,36 @@ object Pruner {
     require(eps > 0 && eps < Double.PositiveInfinity, s"eps must be finite and positive, got $eps")
   }
 
-  final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0,
-                         var kpfPruned: Int = 0, var searched: Int = 0)
+  /** A search's counts: every examined trajectory GBP does not cut is
+    * searched or cut by KPF, so the KPF cuts are what is left.
+    */
+  final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0, var searched: Int = 0) {
+    def kpfPruned: Int = examined - gbpPruned - searched
+  }
 
   /** GBP→KPF key for query `q` (Algorithm 3 lines 8–12), counting examined
     * and GBP-cut trajectories into `stats`: `None` where GBP cuts a
     * trajectory, else its KPF estimate, which at `r = 1` lower-bounds the
-    * trajectory's optimum (Theorem B.1). An empty query or a non-finite
-    * query coordinate is rejected at once, and an empty data trajectory when
-    * it is keyed, with `IllegalArgumentException`: a NaN key would sort last
-    * and be searched without a word. The query's GBP cells are built only
-    * when GBP runs.
+    * trajectory's optimum (Theorem B.1). The query is checked at once
+    * (`KPF.requireQuery`), and an empty data trajectory is rejected with
+    * `IllegalArgumentException` when it is keyed. The query's GBP cells are
+    * built only when GBP runs.
     */
   def gate(q: Array[Point], fn: DistFn[Point], params: Params,
            stats: Stats = Stats()): IndexedSeq[Point] => Option[Double] = {
-    require(q.nonEmpty, "queries must not be empty")
-    require(q.forall(p => p.x.isFinite && p.y.isFinite), "query coordinates must be finite")
-    val gbp: IndexedSeq[Point] => Boolean =
-      if (params.useGBP) {
-        val qCells = GBP.queryCells(q, params.eps)
-        d => GBP.passes(qCells, d, params.eps, params.mu)
-      } else _ => true
+    KPF.requireQuery(q)
+    val qCells = if (params.useGBP) Some(GBP.queryCells(q, params.eps)) else None
     val qIdx = ArraySeq.unsafeWrapArray(q)
     d => {
       require(d.nonEmpty, "data trajectories must not be empty")
       stats.examined += 1
-      if (gbp(d)) Some(KPF.estimate(qIdx, d, fn, params.r))
+      if (qCells.forall(GBP.passes(_, d, params.eps, params.mu))) Some(KPF.estimate(qIdx, d, fn, params.r))
       else { stats.gbpPruned += 1; None }
     }
   }
 
-  /** Best hit over `data` for query `q` using `searchOne` on survivors: every
-    * trajectory is keyed by `gate` first, so a bad query or trajectory fails
-    * before any search; then the k = 1 `TopK.searchBelow` visits the
-    * trajectories GBP keeps in ascending `(estimate, id)` order, and its
-    * search answers `None` where the estimate reaches the threshold.
+  /** Best hit over `data` for query `q`: `TopK.bestFirst` at k = 1, keyed
+    * by `gate`, with `searchOne` on the trajectories it does not cut.
     * `Harness.table3` runs it in each Spark partition, over that
     * partition's trajectories.
     */
@@ -67,11 +62,7 @@ object Pruner {
              params: Params,
              searchOne: (Array[Point], Array[Point]) => SubtrajResult,
              stats: Stats = Stats()): Option[TopK.Hit] = {
-    val key = gate(q, fn, params, stats)
-    val kept = data.flatMap { case (id, d) => key(ArraySeq.unsafeWrapArray(d)).map(e => (id, (e, d))) }
-      .toSeq.sortBy { case (id, (e, _)) => (e, id) }(TopK.byBound)
-    TopK.searchBelow(q, kept, 1, (a: Array[Point], ed: (Double, Array[Point]), kth: Double) =>
-      if (ed._1 >= kth) { stats.kpfPruned += 1; None }
-      else { stats.searched += 1; Some(searchOne(a, ed._2)) }).headOption
+    TopK.bestFirst(q, data, 1, gate(q, fn, params, stats).compose(ArraySeq.unsafeWrapArray[Point]),
+      (a: Array[Point], d: Array[Point], _: Double) => { stats.searched += 1; Some(searchOne(a, d)) }).headOption
   }
 }

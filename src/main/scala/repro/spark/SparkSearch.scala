@@ -9,11 +9,11 @@ import scala.reflect.ClassTag
 
 /** Distributed SSS over a Spark `Dataset[Traj]`, the storage and input type
   * of the trajectory data. Each call is one plain RDD job over `data.rdd`:
-  * every partition runs the shared top-K loop (`TopK.searchBelow`, with
-  * `CMA.searchBelow`, visiting trajectories in exact bounding-box bound
-  * order and cutting by that bound) once per query of the batch, and the
-  * driver merges the at most `K × partitions` hits per query by `(dist,
-  * trajId)` (`TopK.merge`), the order that loop itself uses.
+  * every partition runs the shared best-first top-K (`TopK.bestFirst`,
+  * keyed by the exact bounding-box bound, with `CMA.searchBelow`) once per
+  * query of the batch, and the driver merges the at most `K × partitions`
+  * hits per query by `(dist, trajId)` (`TopK.merge`), the order that loop
+  * itself uses.
   * Every hit equals the unpruned `TopK.cma`'s. Table 3's heuristic GBP→KPF
   * gate is not on this path: `Harness.table3` runs `Pruner.search` in each
   * partition over `eachPartition`.
@@ -39,28 +39,22 @@ object SparkSearch {
     topKBatch(data, Array(q), fn, k).head
 
   /** Global top-K hits for each query of `qs` under `fn`, in `qs` order, from
-    * one job: each partition keeps a local top-K per query, visiting its
-    * trajectories in ascending `(KPF.boxBound, id)` order, searched by
-    * `CMA.searchBelow` below the threshold `TopK.searchBelow` hands it; the
-    * search answers `None` for a trajectory whose box bound reaches that
-    * threshold, and only a trajectory it searches has its points built. A
-    * bad data trajectory fails the task as `Traj`'s constructor rejects it;
-    * a query with no point or a non-finite coordinate is rejected on the
-    * driver.
+    * one job: each partition keeps a local top-K per query with
+    * `TopK.bestFirst`, keyed by `KPF.boxBound` and searched by
+    * `CMA.searchBelow`, so only a trajectory it searches has its points
+    * built. A bad data trajectory fails the task as `Traj`'s constructor
+    * rejects it; a bad query (`KPF.requireQuery`) is rejected on the driver.
     */
   def topKBatch(data: Dataset[Traj], qs: Array[Array[Point]], fn: DistFn[Point], k: Int): Array[Array[TopK.Hit]] = {
     require(k >= 1, "k must be >= 1")
     require(qs.nonEmpty, "the query batch must not be empty")
-    require(qs.forall(_.nonEmpty), "queries must not be empty")
-    require(qs.forall(_.forall(p => p.x.isFinite && p.y.isFinite)), "query coordinates must be finite")
+    qs.foreach(KPF.requireQuery)
     val locals = eachPartition(data) { trajs =>
       val ds = trajs.map(t => (t.id, new Boxed(t)))
       Iterator.single(qs.map { q =>
         val qi = ArraySeq.unsafeWrapArray(q)
-        val byBox = ds.map { case (id, b) => (id, (KPF.boxBound(qi, fn, b.box), b)) }
-          .sortBy { case (id, (lb, _)) => (lb, id) }(TopK.byBound)
-        TopK.searchBelow(qi, byBox, k, (a: IndexedSeq[Point], lb: (Double, Boxed), kth: Double) =>
-          if (lb._1 >= kth) None else CMA.searchBelow(a, lb._2.points, fn, kth))
+        TopK.bestFirst(qi, ds, k, (b: Boxed) => Some(KPF.boxBound(qi, fn, b.box)),
+          (a: IndexedSeq[Point], b: Boxed, kth: Double) => CMA.searchBelow(a, b.points, fn, kth))
       })
     }
     Array.tabulate(qs.length)(i => TopK.merge(locals.flatMap(_(i)), k))

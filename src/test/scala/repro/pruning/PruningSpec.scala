@@ -175,6 +175,28 @@ class PruningSpec extends AnyFunSuite {
       assert(best < byId, s"best-first searched $best, id order $byId")
     }
 
+  // perfbench's traced run hands one Stats to many searches; every count
+  // adds up, and the KPF cuts, derived from the others, do too.
+  test("one Stats shared across Pruner.search calls is the sum of each call's Stats") {
+    val (shared, sum) = (Pruner.Stats(), Pruner.Stats())
+    var (kpfPruned, calls) = (0, 0)
+    for (fn <- TestGen.pointFns.take(4); seed <- 0 until 3; rate <- Seq(0.05, 1.0); useGBP <- Seq(true, false)) {
+      val r = new Random(seed + 900)
+      val db = Array.tabulate(20)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(20)).toArray))
+      val q = TestGen.randPoints(r, 10 + r.nextInt(20)).toArray
+      val params = Pruner.Params(eps = 0.05, mu = 0.4, r = rate, useGBP = useGBP)
+      val counted: (Array[Point], Array[Point]) => SubtrajResult = (a, b) => { calls += 1; searchArrays(fn)(a, b) }
+      val own = Pruner.Stats()
+      val hit = Pruner.search(q, db, fn, params, counted, shared)
+      assert(Pruner.search(q, db, fn, params, searchArrays(fn), own) == hit)
+      sum.examined += own.examined; sum.gbpPruned += own.gbpPruned; sum.searched += own.searched
+      kpfPruned += own.kpfPruned
+    }
+    assert(shared == sum && shared.kpfPruned == kpfPruned, s"shared $shared, summed $sum")
+    assert(shared.searched == calls, s"$shared after $calls searches")
+    assert(shared.gbpPruned > 0 && kpfPruned > 0, s"$shared")
+  }
+
   // --- GBP grid semantics ---
   test("GBP cell packing is injective on distinct cells") {
     val eps = 0.25

@@ -81,7 +81,7 @@ object ScanOracles {
       .sortBy { case (e, id, _) => (e, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
     TopK.searchBelow(q.toIndexedSeq, keyed.map { case (e, id, d) => (id, (e, d)) }, k,
       (a: IndexedSeq[Point], ed: (Double, IndexedSeq[Point]), kth: Double) =>
-        if (ed._1 >= kth) { stats.kpfPruned += 1; None }
+        if (ed._1 >= kth) None
         else { stats.searched += 1; Some(CMA.search(a, ed._2, fn)) })
   }
 
@@ -94,7 +94,7 @@ object ScanOracles {
               stats: Pruner.Stats): Array[TopK.Hit] =
     TopK.searchBelow(q.toIndexedSeq, data.sortBy(_._1), k, (a: IndexedSeq[Point], d: IndexedSeq[Point], kth: Double) =>
       key(d).flatMap { e =>
-        if (e >= kth) { stats.kpfPruned += 1; None }
+        if (e >= kth) None
         else { stats.searched += 1; Some(CMA.search(a, d, fn)) }
       })
 }

@@ -212,10 +212,12 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("a query with a non-finite coordinate is rejected on the driver") {
-    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
-      val broken = q.updated(q.length / 2, Point(bad, q.head.y))
-      assertThrows[IllegalArgumentException](SparkSearch.topKBatch(data, Array(q, broken), Dist.dtw, 1))
-      assertThrows[IllegalArgumentException](SparkSearch.topK(data, q.updated(0, Point(q.head.x, bad)), Dist.erp(spec.erpCenter), 3))
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity);
+         p <- Seq(Point(bad, q.head.y), Point(q.head.x, bad))) {
+      val broken = q.updated(q.length / 2, p)
+      for (e <- Seq(intercept[IllegalArgumentException](SparkSearch.topKBatch(data, Array(q, broken), Dist.dtw, 1)),
+                    intercept[IllegalArgumentException](SparkSearch.topK(data, q.updated(0, p), Dist.erp(spec.erpCenter), 3))))
+        assert(e.getMessage.contains("query coordinates must be finite"), e.getMessage)
     }
   }
 
