@@ -205,7 +205,8 @@ object CMA {
 
   /** Eq. 8 (DTW, `frechet=false`) and Eq. 9 (FD, `frechet=true`): both share
     * the `min{C[i-1][j], C[i][j-1], C[i-1][j-1]}` cell dependency; DTW adds
-    * `sub`, FD takes `max{·, sub}`.
+    * `sub`, FD takes `max{·, sub}`, in the cell loop by a compare, which
+    * equals `math.max` on non-NaN costs and is cheaper per cell on JDK 17.
     */
   private def searchSum[T](q: IndexedSeq[T], d: IndexedSeq[T],
                            sub: (T, T) => Double, frechet: Boolean, bound: Double): SubtrajResult = {
@@ -237,7 +238,7 @@ object CMA {
         var best = a; var src = 0
         if (b < best) { best = b; src = 1 }
         if (c0 < best) { best = c0; src = 2 }
-        curC(j) = if (frechet) math.max(best, sj) else best + sj
+        curC(j) = if (frechet) { if (sj > best) sj else best } else best + sj
         curS(j) = src match {
           case 0 => prevS(j)
           case 1 => curS(j - 1)

@@ -29,42 +29,76 @@ object TopK {
     * sees a threshold and may answer `None` for any reason (a bound that
     * reaches it, [[bestFirst]], or a DP stopped early,
     * `CMA.searchBelow`); that trajectory never enters the heap. The
-    * threshold is `+inf` until k hits are held, then the k-th best distance,
-    * or its `Math.nextUp` for a trajectory whose id is below the k-th hit's,
-    * which would take its place at an equal distance. A hit replaces the
-    * k-th when it is smaller in answer order, so the hits are the k first in
-    * answer order, in any data order, where each `None` proves the
+    * threshold and the replace rule are [[Incumbents]]'. The hits are the k
+    * first in answer order, in any data order, where each `None` proves the
     * trajectory's optimum no closer than the threshold it was handed.
     */
   def searchBelow[Q, D](q: Q, data: Iterable[(Long, D)], k: Int,
                         search: (Q, D, Double) => Option[SubtrajResult]): Array[Hit] = {
-    require(k >= 1, "k must be >= 1")
-    val heap = new scala.collection.mutable.PriorityQueue[Hit]()(ranked) // its head is the k-th best
-    for ((id, d) <- data) {
-      val threshold = if (heap.size < k) Double.PositiveInfinity
-                      else if (id < heap.head.trajId) Math.nextUp(heap.head.dist) else heap.head.dist
-      search(q, d, threshold).map(r => Hit(id, r.start, r.end, r.dist)).foreach { h =>
-        if (heap.size < k) heap.enqueue(h)
-        else if (ranked.lt(h, heap.head)) { heap.dequeue(); heap.enqueue(h) }
-      }
-    }
-    heap.toArray.sorted(ranked)
+    val top = new Incumbents(k)
+    for ((id, d) <- data) top.offer(id, search(q, d, top.threshold(id)))
+    top.hits
   }
 
   /** Best-first top-K (Seidl & Kriegel's multi-step k-NN, Appendix E): every
     * trajectory is keyed by `bound` before the first search (`None` drops
-    * it), so a bound that throws does so before any search; the rest are
-    * visited by [[searchBelow]] in ascending `(bound, trajId)` order (ties to
-    * the lower id, bounds under `Ordering.Double.TotalOrdering`), and a
-    * trajectory whose bound is `>=` the threshold it is handed answers
-    * `None` without reaching `search`. The hits are the full search's where
-    * each bound is `<=` its trajectory's optimum.
+    * it), so a bound that throws does so before any search. A queue pops
+    * the trajectories in ascending `(key, trajId)` order (ties to the lower
+    * id, keys under `Ordering.Double.TotalOrdering`), and one whose key is
+    * `>=` the threshold [[Incumbents]] hands it is cut. With `refine`, a
+    * popped key below the threshold is a first stage: the trajectory goes
+    * back with its `refine`d key, taken at most once, and only a refined
+    * entry is searched. Where each key is `<=` its refined key, the
+    * searches and their thresholds are those of a scan in `(refined key,
+    * trajId)` order (DESIGN.md §3), and the hits are the full search's
+    * where the searched key is `<=` the trajectory's optimum.
     */
   def bestFirst[Q, D](q: Q, data: Iterable[(Long, D)], k: Int, bound: D => Option[Double],
-                      search: (Q, D, Double) => Option[SubtrajResult]): Array[Hit] = {
-    val keyed = data.flatMap { case (id, d) => bound(d).map(b => (id, (b, d))) }.toSeq
-      .sortBy { case (id, (b, _)) => (b, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
-    searchBelow(q, keyed, k, (a: Q, bd: (Double, D), kth: Double) => if (bd._1 >= kth) None else search(a, bd._2, kth))
+                      search: (Q, D, Double) => Option[SubtrajResult],
+                      refine: Option[D => Double] = None): Array[Hit] = {
+    val top = new Incumbents(k)
+    val queue = scala.collection.mutable.PriorityQueue.empty[Keyed[D]](byKey[D].reverse)
+    for ((id, d) <- data; b <- bound(d)) queue.enqueue(Keyed(b, id, d, refined = refine.isEmpty))
+    while (queue.nonEmpty) {
+      val e = queue.dequeue()
+      val threshold = top.threshold(e.id)
+      if (e.key >= threshold) ()
+      else if (!e.refined) refine.foreach(f => queue.enqueue(Keyed(f(e.d), e.id, e.d, refined = true)))
+      else top.offer(e.id, search(q, e.d, threshold))
+    }
+    top.hits
+  }
+
+  /** A queued trajectory of [[bestFirst]]: its key, id and data, and whether the key is refined. */
+  private final case class Keyed[D](key: Double, id: Long, d: D, refined: Boolean)
+
+  /** `(key, id)` order, keys under `Ordering.Double.TotalOrdering`, compared without a tuple per call. */
+  private def byKey[D]: Ordering[Keyed[D]] = (a, b) => {
+    val c = java.lang.Double.compare(a.key, b.key)
+    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+  }
+
+  /** The k best hits so far, in a max-heap whose head is the k-th. The
+    * threshold a trajectory is handed is `+inf` until k hits are held, then
+    * the k-th best distance, or its `Math.nextUp` for a trajectory whose id
+    * is below the k-th hit's, which would take its place at an equal
+    * distance. A hit replaces the k-th when it is smaller in answer order.
+    */
+  private final class Incumbents(k: Int) {
+    require(k >= 1, "k must be >= 1")
+    private val heap = new scala.collection.mutable.PriorityQueue[Hit]()(ranked)
+
+    def threshold(id: Long): Double =
+      if (heap.size < k) Double.PositiveInfinity
+      else if (id < heap.head.trajId) Math.nextUp(heap.head.dist) else heap.head.dist
+
+    def offer(id: Long, r: Option[SubtrajResult]): Unit =
+      r.map(r => Hit(id, r.start, r.end, r.dist)).foreach { h =>
+        if (heap.size < k) heap.enqueue(h)
+        else if (ranked.lt(h, heap.head)) { heap.dequeue(); heap.enqueue(h) }
+      }
+
+    def hits: Array[Hit] = heap.toArray.sorted(ranked)
   }
 
   /** Top-K with the full CMA under `fn`: the unpruned reference. */

@@ -5,9 +5,11 @@ import repro.core._
 import scala.collection.immutable.ArraySeq
 
 /** Algorithm 3's pruning cascade over a database of data trajectories — GBP
-  * gate, then KPF lower bound against the incumbent, then the search
-  * algorithm itself — visited best-first: `search` hands `TopK.bestFirst`
-  * the trajectories GBP keeps, keyed by their KPF estimate.
+  * gate, then KPF lower bound against the incumbent, then the segment-box
+  * bound, then the search algorithm itself — visited best-first: `search`
+  * hands `TopK.bestFirst` the trajectories GBP keeps, keyed by a box form
+  * of their KPF estimate and refined to the estimate only at the front of
+  * the queue.
   * Generic in the search algorithm so the efficiency table can run every
   * baseline through the identical cascade (as the paper does for Table 3).
   */
@@ -26,43 +28,56 @@ object Pruner {
   }
 
   /** A search's counts: every examined trajectory GBP does not cut is
-    * searched or cut by KPF, so the KPF cuts are what is left.
+    * searched, or cut by the segment bound or by KPF, so the KPF cuts are
+    * what is left.
     */
-  final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0, var searched: Int = 0) {
-    def kpfPruned: Int = examined - gbpPruned - searched
+  final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0, var searched: Int = 0,
+                         var segPruned: Int = 0) {
+    def kpfPruned: Int = examined - gbpPruned - segPruned - searched
   }
 
-  /** GBP→KPF key for query `q` (Algorithm 3 lines 8–12), counting examined
+  /** GBP→box key for query `q` (Algorithm 3 lines 8–12), counting examined
     * and GBP-cut trajectories into `stats`: `None` where GBP cuts a
-    * trajectory, else its KPF estimate, which at `r = 1` lower-bounds the
-    * trajectory's optimum (Theorem B.1). The query is checked at once
-    * (`KPF.requireQuery`), and an empty data trajectory is rejected with
-    * `IllegalArgumentException` when it is keyed. The query's GBP cells are
-    * built only when GBP runs.
+    * trajectory, else KPF's combination over its key points with the
+    * trajectory's bounding box in place of its points (`KPF.keyBound`),
+    * which is `<=` `KPF.estimate` at the same `r`. The query is checked at
+    * once (`KPF.requireQuery`); an empty data trajectory, or one with a
+    * non-finite coordinate, is rejected with `IllegalArgumentException` when
+    * it is keyed, in the pass that builds its box. The query's GBP cells
+    * are built only when GBP runs.
     */
   def gate(q: Array[Point], fn: DistFn[Point], params: Params,
            stats: Stats = Stats()): IndexedSeq[Point] => Option[Double] = {
     KPF.requireQuery(q)
     val qCells = if (params.useGBP) Some(GBP.queryCells(q, params.eps)) else None
     val qIdx = ArraySeq.unsafeWrapArray(q)
+    val keys = KPF.keyPointIdx(q.length, params.r)
     d => {
       require(d.nonEmpty, "data trajectories must not be empty")
+      val box = KPF.Box.of(d, 0, d.length)
       stats.examined += 1
-      if (qCells.forall(GBP.passes(_, d, params.eps, params.mu))) Some(KPF.estimate(qIdx, d, fn, params.r))
+      if (qCells.forall(GBP.passes(_, d, params.eps, params.mu))) Some(KPF.keyBound(qIdx, fn, keys, box))
       else { stats.gbpPruned += 1; None }
     }
   }
 
   /** Best hit over `data` for query `q`: `TopK.bestFirst` at k = 1, keyed
-    * by `gate`, with `searchOne` on the trajectories it does not cut.
-    * `Harness.table3` runs it in each Spark partition, over that
-    * partition's trajectories.
+    * by `gate` and refined by `KPF.estimate`, so the searches are those of
+    * a scan in `(estimate, id)` order. Below a finite threshold
+    * `KPF.segBound` runs before `searchOne`, and a trajectory it proves no
+    * closer is cut. `Harness.table3` runs it in each Spark partition, over
+    * that partition's trajectories.
     */
   def search(q: Array[Point], data: Iterable[(Long, Array[Point])], fn: DistFn[Point],
              params: Params,
              searchOne: (Array[Point], Array[Point]) => SubtrajResult,
              stats: Stats = Stats()): Option[TopK.Hit] = {
+    val qIdx = ArraySeq.unsafeWrapArray(q)
     TopK.bestFirst(q, data, 1, gate(q, fn, params, stats).compose(ArraySeq.unsafeWrapArray[Point]),
-      (a: Array[Point], d: Array[Point], _: Double) => { stats.searched += 1; Some(searchOne(a, d)) }).headOption
+      (a: Array[Point], d: Array[Point], threshold: Double) =>
+        if (threshold < Double.PositiveInfinity &&
+            KPF.segBound(qIdx, ArraySeq.unsafeWrapArray(d), fn, threshold) >= threshold) { stats.segPruned += 1; None }
+        else { stats.searched += 1; Some(searchOne(a, d)) },
+      Some((d: Array[Point]) => KPF.estimate(qIdx, ArraySeq.unsafeWrapArray(d), fn, params.r))).headOption
   }
 }

@@ -9,7 +9,7 @@ import scala.util.Random
   * per-trajectory optima.
   */
 class TopKSpec extends AnyFunSuite {
-  import TopKSpec.Item
+  import TopKSpec.{Item, Lazy}
 
   private def db(seed: Int, n: Int): Seq[(Long, IndexedSeq[Point])] = {
     val r = new Random(seed)
@@ -186,6 +186,66 @@ class TopKSpec extends AnyFunSuite {
     assert(e.getMessage == "bad bound")
   }
 
+  // --- TopK.bestFirst with refine: a cheap key, refined at the queue's front ---
+
+  /** `TopK.bestFirst` over `items` keyed by `key` and refined to `refined`,
+    * recording each search's id and threshold and each refined id.
+    */
+  private def refinedSeen(items: Seq[Lazy], k: Int): (Array[TopK.Hit], Seq[(Long, Double)], Seq[Long]) = {
+    val (seen, refined) = (scala.collection.mutable.ArrayBuffer.empty[(Long, Double)], scala.collection.mutable.ArrayBuffer.empty[Long])
+    val hits = TopK.bestFirst((), items.map(i => (i.id, i)), k, (i: Lazy) => Some(i.key),
+      (_: Unit, i: Lazy, kth: Double) => { seen += ((i.id, kth)); Some(SubtrajResult(1, 1, i.dist)) },
+      Some((i: Lazy) => { refined += i.id; i.refined }))
+    (hits, seen.toSeq, refined.toSeq)
+  }
+
+  // Keys and refined keys on a coarse grid tie often, across ids and with
+  // each other; the distances are random, at or above the refined key, or
+  // not, since the order does not depend on them.
+  test("bestFirst with key <= refined searches as the scan keyed by the refined key, each entry refined at most once") {
+    var (refinedTotal, searchedTotal, cutUnrefined) = (0, 0, 0)
+    for (seed <- 0 until 300; k <- Seq(1, 2, 5)) {
+      val r = new Random(seed)
+      val items = (0L until 4L + r.nextInt(20)).map { id =>
+        val refined = r.nextInt(8).toDouble
+        val key = if (r.nextBoolean()) refined else refined - r.nextInt(4)
+        Lazy(id, key, refined, if (seed % 2 == 0) refined + r.nextInt(4) else r.nextInt(10).toDouble)
+      }
+      val shuffled = r.shuffle(items)
+      val (hits, seen, refined) = refinedSeen(shuffled, k)
+      val (wantHits, wantSeen) = bestFirstSeen(shuffled.map(i => Item(i.id, Some(i.refined), i.dist)), k)
+      assert(seen == wantSeen, s"seed=$seed k=$k")
+      assert(hits.toSeq == wantHits.toSeq, s"seed=$seed k=$k")
+      assert(refined.distinct == refined, s"seed=$seed k=$k: refined twice")
+      assert(seen.map(_._1).forall(refined.contains), s"seed=$seed k=$k: searched unrefined")
+      refinedTotal += refined.length; searchedTotal += seen.length; cutUnrefined += items.length - refined.length
+    }
+    assert(refinedTotal > searchedTotal && cutUnrefined > 0, s"$refinedTotal refined, $searchedTotal searched")
+  }
+
+  // At k = 1 the hit (id 0, distance 1) is held after the first search. Id
+  // 2's key equals that threshold, and id 3's is above it: neither is
+  // refined. Id 1's key is below it, so it is refined, and its refined key
+  // reaches the threshold, so it is not searched.
+  test("bestFirst never refines an entry whose key reaches the threshold it is handed") {
+    val items = Seq(Lazy(3L, 4.0, 9.0, 9.0), Lazy(2L, 1.0, 1.0, 0.5), Lazy(1L, 0.5, 3.0, 0.0), Lazy(0L, 0.0, 0.0, 1.0))
+    val (hits, seen, refined) = refinedSeen(items, 1)
+    assert(refined == Seq(0L, 1L))
+    assert(seen == Seq(0L -> Double.PositiveInfinity))
+    assert(hits.toSeq == Seq(TopK.Hit(0L, 1, 1, 1.0)))
+  }
+
+  test("bestFirst refines nothing before every key is taken, and refines lazily") {
+    val items = (0L until 6L).map(id => Lazy(id, 0.0, id.toDouble, id.toDouble))
+    val order = scala.collection.mutable.ArrayBuffer.empty[String]
+    TopK.bestFirst((), items.map(i => (i.id, i)), 1, (i: Lazy) => { order += s"key ${i.id}"; Some(i.key) },
+      (_: Unit, i: Lazy, _: Double) => { order += s"search ${i.id}"; Some(SubtrajResult(1, 1, i.dist)) },
+      Some((i: Lazy) => { order += s"refine ${i.id}"; i.refined }))
+    // Id 0 is refined and searched first, at +inf; its hit at distance 0
+    // is a threshold every other key, 0 at a higher id, reaches.
+    assert(order.toSeq == (0 until 6).map(i => s"key $i") ++ Seq("refine 0", "search 0"))
+  }
+
   /** The two exact lower bounds, each `<=` the optimum bit for bit. */
   private val exactBounds: Seq[(String, (IndexedSeq[Point], IndexedSeq[Point], DistFn[Point]) => Double)] = Seq(
     ("KPF r=1", (q, d, fn) => KPF.estimate(q, d, fn, 1.0)),
@@ -232,4 +292,9 @@ object TopKSpec {
     * distance a search answers.
     */
   final case class Item(id: Long, bound: Option[Double], dist: Double)
+
+  /** A trajectory stand-in for `TopK.bestFirst` with `refine`: its id, its
+    * key, its refined key and the distance a search answers.
+    */
+  final case class Lazy(id: Long, key: Double, refined: Double, dist: Double)
 }

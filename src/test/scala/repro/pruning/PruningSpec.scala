@@ -24,26 +24,40 @@ class PruningSpec extends AnyFunSuite {
   private def wrapped(db: collection.Seq[(Long, Array[Point])]): Seq[(Long, IndexedSeq[Point])] =
     db.map { case (id, d) => (id, ArraySeq.unsafeWrapArray(d): IndexedSeq[Point]) }.toSeq
 
+  /** `Pruner.gate`'s cut and counts with the full `KPF.estimate` as the
+    * key: the key `Pruner.search`'s refined entries carry.
+    */
+  private def estimateKey(q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
+                          stats: Pruner.Stats): IndexedSeq[Point] => Option[Double] = {
+    val gate = Pruner.gate(q, fn, params, stats)
+    d => gate(d).map(_ => KPF.estimate(ArraySeq.unsafeWrapArray(q), d, fn, params.r))
+  }
+
   /** `Pruner.search` (k = 1), over `db` and over `db` shuffled, equals the
-    * best-first oracle keyed by the scanned estimate, hit and `Stats`; at
-    * k = 3, the oracle's loop over `Pruner.gate`'s keys equals it over the
-    * scanned keys. The bounds are bit-identical, so the order is too. Every
-    * trajectory is cut by GBP or KPF or searched. Returns the KPF cuts.
+    * best-first oracle keyed by the scanned estimate, hit and `Stats`, with
+    * the segment bound's cuts and the searches together in place of the
+    * oracle's searches; at k = 3, the oracle's loop over `Pruner.gate`'s
+    * cut with the grid estimate equals it over the scanned keys. The bounds
+    * are bit-identical, so the order is too. Every trajectory is cut by
+    * GBP, KPF or the segment bound, or searched. Returns the KPF and
+    * segment-bound cuts.
     */
   private def matchesOracle(q: Array[Point], db: Array[(Long, Array[Point])], fn: DistFn[Point],
-                            params: Pruner.Params, r: Random): Int =
+                            params: Pruner.Params, r: Random): (Int, Int) =
     Seq(1, 3).map { k =>
       val (gotStats, wantStats) = (Pruner.Stats(), Pruner.Stats())
       val want = ScanOracles.bestFirst(q, wrapped(db), k, ScanOracles.key(q, fn, params, wantStats), fn, wantStats)
       val got =
         if (k == 1) Pruner.search(q, db, fn, params, searchArrays(fn), gotStats).toArray
-        else ScanOracles.bestFirst(q, wrapped(db), k, Pruner.gate(q, fn, params, gotStats), fn, gotStats)
+        else ScanOracles.bestFirst(q, wrapped(db), k, estimateKey(q, fn, params, gotStats), fn, gotStats)
       assert(got.toSeq == want.toSeq, s"k=$k params=$params")
-      assert(gotStats == wantStats, s"k=$k params=$params")
+      val cascade = gotStats.copy(searched = gotStats.searched + gotStats.segPruned, segPruned = 0)
+      assert(cascade == wantStats, s"k=$k params=$params got $gotStats")
       if (k == 1) assert(Pruner.search(q, r.shuffle(db.toSeq), fn, params, searchArrays(fn)).toSeq == want.toSeq)
-      assert(wantStats.gbpPruned + wantStats.kpfPruned + wantStats.searched == wantStats.examined, s"$wantStats")
-      wantStats.kpfPruned
-    }.sum
+      assert(gotStats.gbpPruned + gotStats.kpfPruned + gotStats.segPruned + gotStats.searched == gotStats.examined,
+        s"$gotStats")
+      (wantStats.kpfPruned, gotStats.segPruned)
+    }.reduce((a, b) => (a._1 + b._1, a._2 + b._2))
 
   private def smallDb(seed: Int, n: Int = 10): Array[(Long, Array[Point])] = {
     val r = new Random(seed)
@@ -134,7 +148,7 @@ class PruningSpec extends AnyFunSuite {
         val db = Array.tabulate(30)(i => (i.toLong, TestGen.randPoints(r, 5 + r.nextInt(30)).toArray))
         val q = TestGen.randPoints(r, 20 + r.nextInt(40)).toArray
         val params = Pruner.Params(eps = 0.2, mu = 0.1, r = rate, useGBP = seed % 2 == 0)
-        kpfPruned += matchesOracle(q, db, fn, params, r)
+        kpfPruned += matchesOracle(q, db, fn, params, r)._1
       }
       assert(kpfPruned > 0, "KPF never pruned")
     }
@@ -190,6 +204,7 @@ class PruningSpec extends AnyFunSuite {
       val hit = Pruner.search(q, db, fn, params, counted, shared)
       assert(Pruner.search(q, db, fn, params, searchArrays(fn), own) == hit)
       sum.examined += own.examined; sum.gbpPruned += own.gbpPruned; sum.searched += own.searched
+      sum.segPruned += own.segPruned
       kpfPruned += own.kpfPruned
     }
     assert(shared == sum && shared.kpfPruned == kpfPruned, s"shared $shared, summed $sum")
@@ -250,19 +265,24 @@ class PruningSpec extends AnyFunSuite {
   }
 
   // --- Grid-indexed KPF decides as the scan on Beijing-sized inputs ---
+  // Exact mode (r = 1, no GBP) and Table 3's paper gate (GBP, r = 0.05).
+  // On these 2000-3000-point trajectories the segment bound cuts DTW and FD
+  // searches; on ERP and EDR it cuts fewer, none on these 10.
   for (fn <- Workloads.distFns(Workloads.beijing))
     test(s"grid KPF keeps the scan gate's hits and stats on Beijing trajectories [${fn.name}]") {
       val spec = Workloads.beijing
       val db = Workloads.dataLocal(spec).take(10).map(t => (t.id, t.points))
       val r = new Random(fn.name.hashCode)
-      var kpfPruned = 0
+      var (kpfPruned, segPruned) = (0, 0)
       for (q <- Workloads.queries(spec);
            params <- Seq(Pruner.Params(eps = spec.gen.stepKm * 8, r = 1.0, useGBP = false),
                          Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1, r = 0.05))) {
         assert(q.length <= 200 && db.forall(_._2.length <= 3000))
-        kpfPruned += matchesOracle(q, db, fn, params, r)
+        val (kpf, seg) = matchesOracle(q, db, fn, params, r)
+        kpfPruned += kpf; segPruned += seg
       }
       assert(kpfPruned > 0, "KPF never pruned")
+      if (fn.name == "DTW" || fn.name == "FD") assert(segPruned > 0, "the segment bound never pruned")
     }
 
   // --- Algorithm 3 pipeline exactness under safe parameters ---
@@ -314,6 +334,24 @@ class PruningSpec extends AnyFunSuite {
       val e = intercept[IllegalArgumentException](Pruner.search(b, db, fn, params, noSearch, stats))
       assert(e.getMessage.contains(if (b.isEmpty) "must not be empty" else "must be finite"), e.getMessage)
       assert(stats == Pruner.Stats(), s"${fn.name} useGBP=$useGBP")
+    }
+  }
+
+  // The box pass of the key checks every coordinate, so a bad trajectory
+  // is rejected before any search, whether GBP would cut it or not.
+  test("Pruner.search rejects a non-finite data coordinate before any search") {
+    val db = smallDb(5)
+    val q = db(2)._2.take(4)
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity);
+         bad <- Seq(0, 7); axisX <- Seq(true, false); fn <- TestGen.pointFns; useGBP <- Seq(true, false)) {
+      val d = db(bad)._2
+      val p = if (axisX) d(1).copy(x = v) else d(1).copy(y = v)
+      val data = db.updated(bad, (db(bad)._1, d.updated(1, p)))
+      val stats = Pruner.Stats()
+      val params = Pruner.Params(eps = 0.5, mu = 0.4, r = 1.0, useGBP = useGBP)
+      val e = intercept[IllegalArgumentException](Pruner.search(q, data, fn, params, noSearch, stats))
+      assert(e.getMessage.contains("must be finite"), e.getMessage)
+      assert(stats == Pruner.Stats(examined = bad), s"${fn.name} useGBP=$useGBP")
     }
   }
 
